@@ -23,6 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg as la
+import scipy.sparse.linalg as spla
 
 from . import fields as df
 from . import modal
@@ -77,10 +78,10 @@ def solve_cell_problem(
     """Mean-free solution of Delta S + curl(U x S) = curl(v x U).
 
     method='direct' solves the truncated Galerkin system restricted to the
-    nonzero modes (where the operator is invertible); method='neumann'
-    iterates the small-flow series S = Delta^{-1} sum_m w_m with
-    w_0 = data and w_{m+1} = -P_N curl(U x Delta^{-1} w_m), stopping once
-    the increment falls below tol relative to the data.  Both paths use
+    nonzero modes (where the operator is invertible) by sparse LU;
+    method='neumann' iterates the small-flow series S = Delta^{-1} sum_m w_m
+    with w_0 = data and w_{m+1} = -P_N curl(U x Delta^{-1} w_m), stopping
+    once the increment falls below tol relative to the data.  Both paths use
     the same truncation, hence converge to the same corrector.
     """
     v = np.asarray(v, dtype=np.complex128).reshape(3)
@@ -93,15 +94,15 @@ def solve_cell_problem(
         return CellSolution(v, df.zero_field(n, kind=data.kind), 0.0, method)
 
     if method == "direct":
-        a = modal.assemble_unshifted(flow, n)
+        a = modal._operator(modal.ModalOperatorSpec(flow, np.zeros(3), 1.0, n))
         side = 2 * n + 1
         zero_flat = (n * side + n) * side + n
         keep = np.setdiff1d(np.arange(3 * side**3), 3 * zero_flat + np.arange(3))
         rhs = modal.field_to_vec(df.resize(data, n))
         sol = np.zeros_like(rhs)
         try:
-            sol[keep] = la.solve(a[np.ix_(keep, keep)], rhs[keep])
-        except la.LinAlgError as exc:
+            sol[keep] = spla.splu(a[keep][:, keep].tocsc()).solve(rhs[keep])
+        except RuntimeError as exc:
             raise SolverFailure(f"singular Galerkin cell system at truncation {n}") from exc
         s = modal.vec_to_field(sol, n, kind=data.kind)
         res = _cell_residual(flow, s, data)

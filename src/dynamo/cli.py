@@ -376,7 +376,6 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", help="JSON file with flag defaults; flags override")
     p.add_argument("--out", help=f"output directory (else ${OUTDIR_ENV}, else ./{_DEFAULT_OUTDIR})")
     p.add_argument("--seed", type=int, default=0, help="seed for randomized probes")
-    p.add_argument("--workers", type=int, default=1, help="worker count hint")
 
 
 def _add_flow(p: argparse.ArgumentParser) -> None:

@@ -11,20 +11,26 @@ three-dimensional kernel spanned by v + S(v) with S the cell corrector
 (see the alpha module); for small |j| its leading eigenvalues move linearly
 with |j| at rates given by the alpha matrix.
 
-This module provides a matrix-free apply, dense Galerkin assembly on the
-cubic mode lattice, dense and shift-invert Krylov eigensolvers, contour
-(Riesz) projectors with certified idempotency, first-order perturbation
-checks, continuation of an eigenpair in eps, and the quantitative projector
-comparison bound used to certify rank stability.
+This module builds the Galerkin matrix of L on the cubic mode lattice as
+one sparse stencil over the flow's nonzero modes.  The dense matrix (capped
+at DENSE_CAP), the cell solve in alpha and the time stepper in evolve all
+come from it; ``apply_modal`` is an independent matrix-free FFT apply kept
+as the reference.  On top sit a dense eigensolver, shift-invert Arnoldi on
+a sparse LU of the stencil, contour (Riesz) projectors with certified
+idempotency, first-order perturbation checks, continuation of an eigenpair
+in eps, and the quantitative projector comparison bound used to certify
+rank stability.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 import scipy.linalg as la
+import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.optimize import linear_sum_assignment
 
@@ -106,46 +112,45 @@ def _cross_matrix(w: np.ndarray) -> np.ndarray:
     return out
 
 
-def _advection_blocks(flow: df.SpectralField, n: int, left: np.ndarray, out: np.ndarray) -> None:
-    """Accumulate blocks left(k) . [U(d)]_x at (row k, col k - d) into out."""
+def _stencil(flow: df.SpectralField, n: int, left: np.ndarray, diag: np.ndarray) -> sp.csr_array:
+    """Sparse matrix with diagonal diag plus blocks left(k) . [U(d)]_x at (row k, col k - d).
+
+    Only the flow's nonzero modes d contribute, so a row holds at most
+    3 x (number of modes) + 1 entries whatever the truncation n.
+    """
     side = 2 * n + 1
-    nu = flow.truncation
+    left = np.broadcast_to(left, (side, side, side, 3, 3)).reshape(-1, 3, 3)
     idx = np.arange(side)
-    for d1 in df.mode_range(nu):
-        for d2 in df.mode_range(nu):
-            for d3 in df.mode_range(nu):
-                ud = flow.coeff((d1, d2, d3))
-                if not np.any(ud):
-                    continue
-                fu = _cross_matrix(ud)
-                r1 = idx[max(0, d1): side + min(0, d1)]
-                r2 = idx[max(0, d2): side + min(0, d2)]
-                r3 = idx[max(0, d3): side + min(0, d3)]
-                rr = ((r1[:, None, None] * side + r2[None, :, None]) * side + r3[None, None, :]).reshape(-1)
-                cc = (((r1 - d1)[:, None, None] * side + (r2 - d2)[None, :, None]) * side + (r3 - d3)[None, None, :]).reshape(-1)
-                blocks = left.reshape(-1, 3, 3)[rr] @ fu
-                rows = (3 * rr)[:, None, None] + np.arange(3)[None, :, None]
-                cols = (3 * cc)[:, None, None] + np.arange(3)[None, None, :]
-                out[rows, cols] += blocks
+    axis3 = np.arange(3)
+    rows, cols, vals = [np.arange(diag.size)], [np.arange(diag.size)], [diag]
+    for d in itertools.product(df.mode_range(flow.truncation), repeat=3):
+        ud = flow.coeff(d)
+        if not np.any(ud):
+            continue
+        r1, r2, r3 = (idx[max(0, di): side + min(0, di)] for di in d)
+        rr = ((r1[:, None, None] * side + r2[None, :, None]) * side + r3[None, None, :]).reshape(-1)
+        cc = rr - (d[0] * side + d[1]) * side - d[2]
+        blocks = left[rr] @ _cross_matrix(ud)
+        rows.append(np.broadcast_to((3 * rr)[:, None, None] + axis3[:, None], blocks.shape).reshape(-1))
+        cols.append(np.broadcast_to((3 * cc)[:, None, None] + axis3, blocks.shape).reshape(-1))
+        vals.append(blocks.reshape(-1))
+    rows, cols, vals = (np.concatenate(x) for x in (rows, cols, vals))
+    keep = vals != 0
+    return sp.coo_array((vals[keep], (rows[keep], cols[keep])), shape=(diag.size, diag.size)).tocsr()
+
+
+def _operator(spec: ModalOperatorSpec) -> sp.csr_array:
+    """Sparse Galerkin matrix of L on the flattened coefficient vector."""
+    kappa = spec.shifted_wavevectors()
+    diag = np.repeat(-spec.eps * np.sum(kappa * kappa, axis=-1).reshape(-1), 3).astype(np.complex128)
+    return _stencil(spec.flow, spec.truncation, _cross_matrix(1j * kappa), diag)
 
 
 def assemble_dense(spec: ModalOperatorSpec) -> np.ndarray:
-    """Dense Galerkin matrix of L on the flattened coefficient vector."""
+    """Dense Galerkin matrix of L, for oracles and small dense solves."""
     if spec.dim > DENSE_CAP:
         raise TooLarge(f"dense assembly of dimension {spec.dim} exceeds the cap {DENSE_CAP}")
-    n = spec.truncation
-    kappa = spec.shifted_wavevectors()
-    a = np.zeros((spec.dim, spec.dim), dtype=np.complex128)
-    k2 = np.sum(kappa * kappa, axis=-1).reshape(-1)
-    diag = np.repeat(-spec.eps * k2, 3)
-    a[np.arange(spec.dim), np.arange(spec.dim)] = diag
-    _advection_blocks(spec.flow, n, _cross_matrix(1j * kappa), a)
-    return a
-
-
-def assemble_unshifted(flow: df.SpectralField, n: int) -> np.ndarray:
-    """Dense matrix of the j = 0, eps = 1 operator (curl of U x . plus Laplacian)."""
-    return assemble_dense(ModalOperatorSpec(flow, np.zeros(3), 1.0, n))
+    return _operator(spec).toarray()
 
 
 def assemble_slope_generator(flow: df.SpectralField, j_direction: np.ndarray, n: int) -> np.ndarray:
@@ -158,13 +163,8 @@ def assemble_slope_generator(flow: df.SpectralField, j_direction: np.ndarray, n:
     dim = 3 * (2 * n + 1) ** 3
     if dim > DENSE_CAP:
         raise TooLarge(f"dense assembly of dimension {dim} exceeds the cap {DENSE_CAP}")
-    a = np.zeros((dim, dim), dtype=np.complex128)
-    kv = df.wavevectors(n)
-    diag = np.repeat(-2.0 * np.sum(kv * jhat, axis=-1).reshape(-1), 3).astype(np.complex128)
-    a[np.arange(dim), np.arange(dim)] = diag
-    left = np.broadcast_to(_cross_matrix(1j * jhat), (2 * n + 1,) * 3 + (3, 3)).copy()
-    _advection_blocks(flow, n, left, a)
-    return a
+    diag = np.repeat(-2.0 * np.sum(df.wavevectors(n) * jhat, axis=-1).reshape(-1), 3).astype(np.complex128)
+    return _stencil(flow, n, _cross_matrix(1j * jhat), diag).toarray()
 
 
 def _unit(v) -> np.ndarray:
@@ -236,8 +236,8 @@ def leading_eigs(
 
     method='dense' assembles the full matrix (sizes up to DENSE_CAP);
     method='krylov' runs shift-invert Arnoldi about ``sigma`` (default a
-    point just right of the expected leading eigenvalue) with dense LU
-    inner solves below the cap and preconditioned GMRES above it.
+    point just right of the expected leading eigenvalue) on the sparse
+    operator, factoring it once with a sparse LU, and has no size cap.
     """
     if method == "dense":
         a = assemble_dense(spec)
@@ -249,36 +249,11 @@ def leading_eigs(
 
     if sigma is None:
         sigma = 0.1 * spec.eps
-    dim = spec.dim
-    linop = spla.LinearOperator(
-        (dim, dim),
-        matvec=lambda x: field_to_vec(apply_modal(spec, vec_to_field(x, spec.truncation))),
-        dtype=np.complex128,
-    )
-    if dim <= DENSE_CAP:
-        lu = la.lu_factor(assemble_dense(spec) - sigma * np.eye(dim))
-        opinv = spla.LinearOperator((dim, dim), matvec=lambda b: la.lu_solve(lu, b), dtype=np.complex128)
-    else:
-        kappa = spec.shifted_wavevectors()
-        dvals = np.repeat((-spec.eps * np.sum(kappa**2, axis=-1)).reshape(-1), 3) - sigma
-        precond = spla.LinearOperator((dim, dim), matvec=lambda b: b / dvals, dtype=np.complex128)
-
-        def solve(b):
-            x, info = spla.gmres(
-                spla.LinearOperator((dim, dim), matvec=lambda y: linop @ y - sigma * y, dtype=np.complex128),
-                b, M=precond, rtol=1e-10, atol=0.0, maxiter=400,
-            )
-            if info != 0:
-                raise EigsFailed(f"inner shift-invert solve stalled (gmres info {info})")
-            return x
-
-        opinv = spla.LinearOperator((dim, dim), matvec=solve, dtype=np.complex128)
-
-    v0 = np.random.default_rng(seed).standard_normal(dim) + 0.0j
+    v0 = np.random.default_rng(seed).standard_normal(spec.dim) + 0.0j
     try:
-        vals, vecs = spla.eigs(linop, k=count, sigma=sigma, OPinv=opinv, which="LM", v0=v0)
-    except spla.ArpackNoConvergence as exc:  # pragma: no cover - rare
-        raise EigsFailed(f"Arnoldi iteration did not converge: {exc}") from exc
+        vals, vecs = spla.eigs(_operator(spec).tocsc(), k=count, sigma=sigma, which="LM", v0=v0)
+    except RuntimeError as exc:  # pragma: no cover - no convergence, or sigma exactly singular
+        raise EigsFailed(f"shift-invert Arnoldi failed: {exc}") from exc
     order = eig_order(vals)
     return [_make_pair(spec, vals[i], vec_to_field(vecs[:, i], spec.truncation)) for i in order]
 
@@ -381,15 +356,6 @@ class RieszProjector:
     def apply(self, f: df.SpectralField) -> df.SpectralField:
         x = field_to_vec(df.resize(f, self.spec.truncation))
         return vec_to_field(self.apply_block(x[:, None])[:, 0], self.spec.truncation)
-
-
-def riesz_projector(
-    spec: ModalOperatorSpec,
-    contour: Contour,
-    probes: int = 8,
-    target_defect: float = 1e-8,
-) -> RieszProjector:
-    return RieszProjector(spec, contour, probes=probes, target_defect=target_defect)
 
 
 @dataclass(frozen=True)

@@ -137,7 +137,7 @@ def test_05_diffusivity_continuation_window():
 def test_06_projector_idempotency_and_perturbation_bound():
     flow = _abc(0.3)
     base = modal.ModalOperatorSpec(flow, np.zeros(3), 1.0, 2)
-    proj = modal.riesz_projector(base, modal.Contour(0.0, 0.5, 16))
+    proj = modal.RieszProjector(base, modal.Contour(0.0, 0.5, 16))
     cases = [
         (np.zeros(3), 0.95, modal.Contour(0.0, 0.5, 16)),
         (np.array([0.0, 0.0, 0.045]), 0.97, modal.Contour(0.0, 0.5, 16)),

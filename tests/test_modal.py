@@ -88,7 +88,7 @@ class TestDenseAssembly:
         jhat = np.array([0.0, 0.6, 0.8])
         mag = 0.15
         a_j = dm.assemble_dense(dm.ModalOperatorSpec(u, mag * jhat, 1.0, 2))
-        a_0 = dm.assemble_unshifted(u, 2)
+        a_0 = dm.assemble_dense(dm.ModalOperatorSpec(u, np.zeros(3), 1.0, 2))
         l_1 = dm.assemble_slope_generator(u, jhat, 2)
         combined = a_0 + mag * l_1 - mag**2 * np.eye(a_0.shape[0])
         assert np.max(np.abs(a_j - combined)) < 1e-12
@@ -138,6 +138,19 @@ class TestLeadingEigs:
         for d, k in zip(dense, krylov):
             assert abs(d.p - k.p) < 1e-8
 
+    def test_krylov_never_builds_a_dense_matrix(self, monkeypatch):
+        spec = dm.ModalOperatorSpec(small_abc(0.3), np.array([0.0, 0.0, 0.045]), 1.0, 2)
+        dense = dm.leading_eigs(spec, count=3, method="dense")
+
+        def refuse(_spec):
+            raise AssertionError("krylov path assembled a dense matrix")
+
+        monkeypatch.setattr(dm, "assemble_dense", refuse)
+        krylov = dm.leading_eigs(spec, count=3, method="krylov", sigma=0.05)
+        for d, k in zip(dense, krylov):
+            assert abs(d.p - k.p) <= 1e-10
+            assert dm.eig_residual(spec, k.p, k.field) <= 1e-10
+
     def test_conjugation_symmetry(self):
         u = small_abc()
         j = 0.03 * np.array([1.0, 1.0, 0.5]) / np.linalg.norm([1.0, 1.0, 0.5])
@@ -170,7 +183,7 @@ class TestKernelBasis:
             assert dm.apply_modal(spec, b).l2() <= 1e-11
 
     def test_semisimplicity_of_the_zero_cluster(self):
-        a = dm.assemble_unshifted(small_abc(), 2)
+        a = dm.assemble_dense(dm.ModalOperatorSpec(small_abc(), np.zeros(3), 1.0, 2))
         sv = la.svdvals(a)
         sv2 = la.svdvals(a @ a)
         assert np.sum(sv < 1e-6 * sv[0]) == 3
@@ -180,14 +193,14 @@ class TestKernelBasis:
 class TestRieszProjector:
     def test_zero_flow_rank_three_identity_on_constants(self):
         spec = dm.ModalOperatorSpec(df.zero_field(1), np.zeros(3), 1.0, 1)
-        p = dm.riesz_projector(spec, dm.Contour(0.0, 0.5, 16))
+        p = dm.RieszProjector(spec, dm.Contour(0.0, 0.5, 16))
         assert p.rank_estimate == 3
         v = df.const_field([0.3, -1.0, 2.0], n=1)
         assert (p.apply(v) - v).l2() < 1e-10
 
     def test_idempotency_and_mean_preservation(self):
         spec = dm.ModalOperatorSpec(small_abc(), np.zeros(3), 1.0, 2)
-        p = dm.riesz_projector(spec, dm.Contour(0.0, 0.4, 16))
+        p = dm.RieszProjector(spec, dm.Contour(0.0, 0.4, 16))
         assert p.idempotency_defect <= 1e-8
         assert p.rank_estimate == 3
         rng = np.random.default_rng(2)
@@ -198,7 +211,7 @@ class TestRieszProjector:
 
     def test_commutes_with_operator(self):
         spec = dm.ModalOperatorSpec(small_abc(), np.zeros(3), 1.0, 2)
-        p = dm.riesz_projector(spec, dm.Contour(0.0, 0.4, 16))
+        p = dm.RieszProjector(spec, dm.Contour(0.0, 0.4, 16))
         rng = np.random.default_rng(3)
         f = df.random_real_field(2, rng, mean_free=False)
         d = p.apply(dm.apply_modal(spec, f)) - dm.apply_modal(spec, p.apply(f))
@@ -208,7 +221,7 @@ class TestRieszProjector:
         spec = dm.ModalOperatorSpec(df.zero_field(1), np.zeros(3), 1.0, 1)
         # quadrature node at angle pi lands exactly on the eigenvalue -1
         with pytest.raises(ContourTouchesSpectrum):
-            dm.riesz_projector(spec, dm.Contour(0.0, 1.0, 16))
+            dm.RieszProjector(spec, dm.Contour(0.0, 1.0, 16))
 
     def test_too_few_nodes_rejected(self):
         with pytest.raises(ConfigError):
