@@ -20,6 +20,12 @@ a sparse LU of the stencil, contour (Riesz) projectors with certified
 idempotency, first-order perturbation checks, continuation of an eigenpair
 in eps, and the quantitative projector comparison bound used to certify
 rank stability.
+
+Every contour quadrature solves with sparse LU factors of mu I - L, made
+once per (operator, node) and reused across node doublings, repeated
+contour sums and shared eps grid points; nodes too close to the spectrum
+are caught by a condition estimate on those factors.  The comparison
+bound takes exact 2-norms by Lanczos on the same factors.
 """
 
 from __future__ import annotations
@@ -293,20 +299,74 @@ class Contour:
         return self.center + self.radius * np.exp(1j * theta), np.exp(1j * theta)
 
 
-def _contour_sum(a: np.ndarray, contour: Contour, block: np.ndarray) -> np.ndarray:
-    """Quadrature of the resolvent integral applied to a block of vectors."""
-    dim = a.shape[0]
-    mus, phases = contour.points()
-    acc = np.zeros_like(block)
-    eye = np.eye(dim)
-    for mu, ph in zip(mus, phases):
-        m = mu * eye - a
-        anorm = np.linalg.norm(m, 1)
-        lu, piv = la.lu_factor(m)
-        rcond = la.lapack.zgecon(lu, anorm)[0]
+def _inv_norm1(lu: spla.SuperLU, dim: int) -> float:
+    """Lower estimate of ||A^-1||_1 from a sparse LU of A.
+
+    The deterministic Hager-Higham iteration of LAPACK's zlacn2, the
+    estimator of its condition-number routines: at most six solves with A
+    and five with A^H.
+    """
+
+    def unit_phases(x: np.ndarray) -> np.ndarray:
+        ax = np.abs(x)
+        return np.divide(x, ax, out=np.ones_like(x), where=ax > np.finfo(float).tiny)
+
+    x = lu.solve(np.full(dim, 1.0 / dim, dtype=np.complex128))
+    est = float(np.sum(np.abs(x)))
+    z = lu.solve(unit_phases(x), trans="H")
+    j = int(np.argmax(np.abs(z)))
+    for it in range(2, 6):
+        e = np.zeros(dim, dtype=np.complex128)
+        e[j] = 1.0
+        x = lu.solve(e)
+        est_old, est = est, float(np.sum(np.abs(x)))
+        if est <= est_old:
+            break
+        z = lu.solve(unit_phases(x), trans="H")
+        j_last, j = j, int(np.argmax(np.abs(z)))
+        if abs(z[j_last]) == abs(z[j]) or it == 5:
+            break
+    alt = np.where(np.arange(dim) % 2 == 0, 1.0, -1.0) * (1.0 + np.arange(dim) / (dim - 1))
+    x = lu.solve(alt.astype(np.complex128))
+    return max(est, 2.0 * float(np.sum(np.abs(x))) / (3 * dim))
+
+
+class _Resolvent:
+    """Sparse LU factors of mu I - L, one per quadrature node mu, made on first use.
+
+    The trapezoid nodes of n points are bitwise the even nodes of 2n points,
+    so a contour whose node count doubles reuses every factor made so far.
+    """
+
+    def __init__(self, matrix: sp.sparray):
+        self.matrix = sp.csc_array(matrix)
+        self._lus: dict[complex, spla.SuperLU] = {}
+
+    def lu(self, mu: complex) -> spla.SuperLU:
+        lu = self._lus.get(mu)
+        if lu is not None:
+            return lu
+        dim = self.matrix.shape[0]
+        m = sp.csc_array(mu * sp.eye_array(dim, dtype=np.complex128, format="csc") - self.matrix)
+        try:
+            # a real flow has its modes in pairs +-d, so the stencil is close
+            # to structurally symmetric: minimum degree on A^T + A fills least
+            lu = spla.splu(m, permc_spec="MMD_AT_PLUS_A")
+        except RuntimeError as exc:  # exactly singular pivot
+            raise ContourTouchesSpectrum(f"resolvent singular at node {mu:.6g}: {exc}") from exc
+        rcond = 1.0 / (float(abs(m).sum(axis=0).max()) * _inv_norm1(lu, dim))
         if rcond < 1e-14:
             raise ContourTouchesSpectrum(f"resolvent nearly singular at node {mu:.6g} (rcond {rcond:.2e})")
-        acc += ph * la.lu_solve((lu, piv), block)
+        self._lus[mu] = lu
+        return lu
+
+
+def _contour_sum(res: _Resolvent, contour: Contour, block: np.ndarray) -> np.ndarray:
+    """Quadrature of the resolvent integral applied to a block of vectors."""
+    mus, phases = contour.points()
+    acc = np.zeros_like(block)
+    for mu, ph in zip(mus, phases):
+        acc += ph * res.lu(mu).solve(block)
     return acc * (contour.radius / contour.nodes)
 
 
@@ -328,15 +388,15 @@ class RieszProjector:
         seed: int = 7,
     ):
         self.spec = spec
-        self._matrix = assemble_dense(spec)
+        res = _Resolvent(_operator(spec))
         rng = np.random.default_rng(seed)
         block = rng.standard_normal((spec.dim, probes)) + 1j * rng.standard_normal((spec.dim, probes))
         block /= np.linalg.norm(block, axis=0, keepdims=True)
         nodes = contour.nodes
         while True:
             trial = Contour(contour.center, contour.radius, nodes)
-            once = _contour_sum(self._matrix, trial, block)
-            twice = _contour_sum(self._matrix, trial, once)
+            once = _contour_sum(res, trial, block)
+            twice = _contour_sum(res, trial, once)
             defect = float(np.max(np.linalg.norm(twice - once, axis=0)))
             if defect <= target_defect or nodes >= max_nodes:
                 break
@@ -345,13 +405,16 @@ class RieszProjector:
             raise SolverFailure(
                 f"projector idempotency stalled at {defect:.2e} with {nodes} nodes"
             )
+        # the factors are dropped here: a projector kept alive would hold
+        # one LU per node for the rest of its life
+        self._matrix = res.matrix
         self.contour = Contour(contour.center, contour.radius, nodes)
         self.idempotency_defect = defect
         sv = la.svdvals(once)
         self.rank_estimate = int(np.sum(sv > 1e-6 * max(sv[0], 1e-300)))
 
     def apply_block(self, block: np.ndarray) -> np.ndarray:
-        return _contour_sum(self._matrix, self.contour, block)
+        return _contour_sum(_Resolvent(self._matrix), self.contour, block)
 
     def apply(self, f: df.SpectralField) -> df.SpectralField:
         x = field_to_vec(df.resize(f, self.spec.truncation))
@@ -363,8 +426,10 @@ class ProjectorComparison:
     """Quantitative comparison of spectral projectors of two operators.
 
     ``bound`` is radius * M / (1 - M) * sup ||R0||, the contour-length form
-    of the perturbation estimate; ``measured`` is the exact 2-norm distance
-    of the dense quadrature projectors.
+    of the perturbation estimate; ``measured`` is the 2-norm distance of
+    the quadrature projectors.  All three norms are exact 2-norms (largest
+    singular values by Lanczos on the node factorizations), and the ranks
+    are the rounded traces of the quadrature projectors.
     """
 
     smallness: float
@@ -375,25 +440,13 @@ class ProjectorComparison:
     rank1: int
 
 
-def _two_norm(mat: np.ndarray, iters: int = 60, tol: float = 1e-10, seed: int = 11) -> float:
-    """Operator 2-norm by power iteration on mat^H mat (deterministic start)."""
-    rng = np.random.default_rng(seed)
-    x = rng.standard_normal(mat.shape[1]) + 1j * rng.standard_normal(mat.shape[1])
-    x /= np.linalg.norm(x)
-    sigma = 0.0
-    for _ in range(iters):
-        y = mat @ x
-        x = mat.conj().T @ y
-        nx = np.linalg.norm(x)
-        if nx == 0.0:
-            return 0.0
-        new = math.sqrt(nx)
-        x /= nx
-        if abs(new - sigma) <= tol * max(new, 1e-300):
-            sigma = new
-            break
-        sigma = new
-    return float(sigma)
+def _norm2(matvec, rmatvec, dim: int) -> float:
+    """Operator 2-norm: the largest singular value, by Lanczos on A^H A."""
+    op = spla.LinearOperator((dim, dim), matvec=matvec, rmatvec=rmatvec, dtype=np.complex128)
+    v0 = np.random.default_rng(11).standard_normal(dim) + 0.0j
+    # svds hands tol**2 to its Lanczos on A^H A, which then stops at a
+    # residual of 1e-14 relative to sigma^2
+    return float(spla.svds(op, k=1, v0=v0, tol=1e-7, return_singular_vectors=False)[0])
 
 
 def projector_distance_bound(
@@ -401,38 +454,50 @@ def projector_distance_bound(
     spec1: ModalOperatorSpec,
     contour: Contour,
 ) -> ProjectorComparison:
-    a0 = assemble_dense(spec0)
-    a1 = assemble_dense(spec1)
-    if a0.shape != a1.shape:
+    if spec0.dim != spec1.dim:
         raise ConfigError("operators must share one truncation for comparison")
-    delta = a1 - a0
-    dim = a0.shape[0]
-    eye = np.eye(dim)
     mus, phases = contour.points()
+    weights = phases * (contour.radius / contour.nodes)
+
+    def rank(spec: ModalOperatorSpec) -> int:
+        """Rounded trace of the quadrature projector, sum_k w_k tr R(mu_k)."""
+        lam = la.eigvals(assemble_dense(spec))
+        return int(round(np.sum(weights[:, None] / (mus[:, None] - lam[None, :])).real))
+
+    rank0, rank1 = rank(spec0), rank(spec1)
+    res0, res1 = _Resolvent(_operator(spec0)), _Resolvent(_operator(spec1))
+    delta = res1.matrix - res0.matrix
+    delta_h = delta.conj().T
+    dim = spec0.dim
     smallness = 0.0
     sup_r0 = 0.0
-    p0 = np.zeros_like(a0)
-    p1 = np.zeros_like(a0)
-    for mu, ph in zip(mus, phases):
-        r0 = la.solve(mu * eye - a0, eye)
-        r1 = la.solve(mu * eye - a1, eye)
-        smallness = max(smallness, _two_norm(delta @ r0))
-        sup_r0 = max(sup_r0, _two_norm(r0))
-        p0 += ph * r0
-        p1 += ph * r1
-    p0 *= contour.radius / contour.nodes
-    p1 *= contour.radius / contour.nodes
+    for mu in mus:
+        lu0 = res0.lu(mu)
+        sup_r0 = max(sup_r0, _norm2(lu0.solve, lambda y: lu0.solve(y, trans="H"), dim))
+        if delta.nnz:
+            smallness = max(smallness, _norm2(
+                lambda x: delta @ lu0.solve(x), lambda y: lu0.solve(delta_h @ y, trans="H"), dim
+            ))
     if smallness >= 1.0:
         raise BoundInapplicable(f"perturbation is not contractive on the contour (M = {smallness:.3f})")
     bound = contour.radius * smallness / (1.0 - smallness) * sup_r0
-    measured = _two_norm(p0 - p1)
+
+    def p_diff(x: np.ndarray, trans: str = "N") -> np.ndarray:
+        """(P0 - P1) x, or its adjoint with trans = 'H'."""
+        ws = weights.conj() if trans == "H" else weights
+        return sum(w * (res0.lu(mu).solve(x, trans) - res1.lu(mu).solve(x, trans)) for mu, w in zip(mus, ws))
+
+    # an unperturbed operator has the identical projector; Lanczos cannot
+    # start on the zero operator
+    measured = _norm2(p_diff, lambda y: p_diff(y, "H"), dim) if delta.nnz else 0.0
+
     return ProjectorComparison(
         smallness=float(smallness),
         sup_resolvent=float(sup_r0),
         bound=float(bound),
         measured=measured,
-        rank0=int(round(np.trace(p0).real)),
-        rank1=int(round(np.trace(p1).real)),
+        rank0=rank0,
+        rank1=rank1,
     )
 
 
@@ -560,10 +625,10 @@ def continue_in_eps(
         trial_eps = eps - step
         spec = ModalOperatorSpec(flow, j, trial_eps, truncation)
         contour = Contour(complex(current.p), radius, contour_nodes)
+        res = _Resolvent(_operator(spec))
+        x = field_to_vec(current.field)
         try:
-            a = assemble_dense(spec)
-            x = field_to_vec(current.field)
-            y = _contour_sum(a, contour, x[:, None])[:, 0]
+            y = _contour_sum(res, contour, x[:, None])[:, 0]
         except ContourTouchesSpectrum:
             step *= 0.5
             continue
@@ -573,7 +638,7 @@ def continue_in_eps(
             continue
         h = fix_phase(vec_to_field(y, truncation))
         hv = field_to_vec(h)
-        p_new = complex(np.vdot(hv, a @ hv) / np.vdot(hv, hv))
+        p_new = complex(np.vdot(hv, res.matrix @ hv) / np.vdot(hv, hv))
         pair = _make_pair(spec, p_new, h)
         if pair.residual > residual_tol or p_new.real < floor:
             step *= 0.5
@@ -611,17 +676,19 @@ def eps_lipschitz(
     whose Lipschitz continuity the estimate is meant to quantify.
     """
     x = field_to_vec(df.resize(reference, truncation))[:, None]
+    # both grids are indexed by integer, so the step grid is exactly the even
+    # points of the half-step grid and shares its projected images; the
+    # point counts are those of np.arange(eps_lo, eps_hi + 1e-12, h)
+    half = step / 2.0
+    imgs = []
+    for i in range(math.ceil((eps_hi + 1e-12 - eps_lo) / half)):
+        res = _Resolvent(_operator(ModalOperatorSpec(flow, j, eps_lo + i * half, truncation)))
+        imgs.append(_contour_sum(res, contour, x)[:, 0])
 
-    def path_constant(h: float) -> float:
-        eps_grid = np.arange(eps_lo, eps_hi + 1e-12, h)
-        imgs = []
-        for e in eps_grid:
-            a = assemble_dense(ModalOperatorSpec(flow, j, float(e), truncation))
-            imgs.append(_contour_sum(a, contour, x)[:, 0])
-        diffs = [np.linalg.norm(b - a) / h for a, b in zip(imgs, imgs[1:])]
-        return float(max(diffs))
+    def path_constant(pts: list[np.ndarray], h: float) -> float:
+        return float(max(np.linalg.norm(b - a) / h for a, b in zip(pts, pts[1:])))
 
-    c1 = path_constant(step)
-    c2 = path_constant(step / 2.0)
+    c1 = path_constant(imgs[::2], step)
+    c2 = path_constant(imgs, half)
     rel = abs(c1 - c2) / max(c1, 1e-300)
     return LipschitzEstimate(constant=c1, constant_half_step=c2, step=step, rel_change=rel)

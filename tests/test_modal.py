@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 import scipy.linalg as la
+import scipy.sparse.linalg as spla
 from hypothesis import given, settings, strategies as st
 
 import dynamo.fields as df
@@ -19,6 +20,23 @@ DELTA0 = 0.05
 
 def small_abc(d0=DELTA0):
     return df.make_abc(df.AbcParams(d0, d0, d0))
+
+
+def count_factorizations(monkeypatch) -> dict:
+    """Count dense and sparse LU factorizations from here on; refuse dense assembly."""
+    counts = {"lu_factor": 0, "splu": 0}
+    for module, name in ((la, "lu_factor"), (spla, "splu")):
+        def counted(*args, _name=name, _orig=getattr(module, name), **kwargs):
+            counts[_name] += 1
+            return _orig(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+
+    def refuse(_spec):
+        raise AssertionError("contour path assembled a dense matrix")
+
+    monkeypatch.setattr(dm, "assemble_dense", refuse)
+    return counts
 
 
 def random_complex(n, seed):
@@ -223,6 +241,50 @@ class TestRieszProjector:
         with pytest.raises(ContourTouchesSpectrum):
             dm.RieszProjector(spec, dm.Contour(0.0, 1.0, 16))
 
+    def test_node_next_to_an_eigenvalue_detected(self):
+        spec = dm.ModalOperatorSpec(small_abc(0.3), np.array([0.0, 0.0, 0.045]), 1.0, 1)
+        lam = dm.leading_eigs(spec, count=1)[0].p
+        # the node at angle 0 sits 1e-15 from the eigenvalue: no exact zero
+        # pivot, so only the condition estimate can catch it
+        with pytest.raises(ContourTouchesSpectrum):
+            dm.RieszProjector(spec, dm.Contour(lam - 0.1 + 1e-15, 0.1, 16))
+
+    def test_contour_sum_matches_dense_quadrature(self):
+        contour = dm.Contour(0.1 + 0.05j, 0.5, 16)
+        mus, phases = contour.points()
+        rng = np.random.default_rng(5)
+        for n in (1, 2):
+            spec = dm.ModalOperatorSpec(small_abc(0.3), np.array([0.0, 0.0, 0.045]), 0.9, n)
+            block = rng.standard_normal((spec.dim, 3)) + 1j * rng.standard_normal((spec.dim, 3))
+            a = dm.assemble_dense(spec)
+            eye = np.eye(spec.dim)
+            dense = sum(ph * la.solve(mu * eye - a, block) for mu, ph in zip(mus, phases))
+            dense *= contour.radius / contour.nodes
+            sparse = dm._contour_sum(dm._Resolvent(dm._operator(spec)), contour, block)
+            assert np.max(np.abs(sparse - dense)) <= 1e-12 * max(1.0, np.max(np.abs(dense)))
+
+    def test_condition_estimate_matches_lapack(self):
+        for n in (1, 2):
+            spec = dm.ModalOperatorSpec(small_abc(0.3), np.array([0.0, 0.0, 0.045]), 1.0, n)
+            res = dm._Resolvent(dm._operator(spec))
+            a = dm.assemble_dense(spec)
+            for mu in (0.5, 0.3 + 0.4j, -0.2j):
+                m = mu * np.eye(spec.dim) - a
+                anorm = np.linalg.norm(m, 1)
+                rcond = la.lapack.zgecon(la.lu_factor(m)[0], anorm)[0]
+                estimate = 1.0 / (anorm * dm._inv_norm1(res.lu(mu), spec.dim))
+                assert estimate == pytest.approx(rcond, rel=1e-12)
+
+    def test_doubling_factors_each_node_once(self, monkeypatch):
+        spec = dm.ModalOperatorSpec(small_abc(0.3), np.zeros(3), 1.0, 2)
+        factorizations = count_factorizations(monkeypatch)
+        p = dm.RieszProjector(spec, dm.Contour(0.0, 0.5, 16))
+        assert p.contour.nodes == 32
+        assert p.idempotency_defect <= 1e-8
+        # the 16 nodes are the even nodes of the 32: 32 distinct factors,
+        # where factoring per contour sum would take 16 x 2 + 32 x 2 = 96
+        assert factorizations == {"lu_factor": 0, "splu": 32}
+
     def test_too_few_nodes_rejected(self):
         with pytest.raises(ConfigError):
             dm.Contour(0.0, 0.5, 4)
@@ -283,6 +345,18 @@ class TestContinuation:
         assert lip.constant > 0.0
         assert lip.rel_change <= 0.2
 
+    def test_lipschitz_grids_share_their_images(self, monkeypatch):
+        u = small_abc(0.3)
+        j = np.array([0.0, 0.0, 0.045])
+        start = dm.leading_eigs(dm.ModalOperatorSpec(u, j, 1.0, 2), count=1)[0]
+        factorizations = count_factorizations(monkeypatch)
+        contour = dm.Contour(complex(start.p), 0.02, 16)
+        lip = dm.eps_lipschitz(u, j, start.field, contour, 0.9, 1.0, 2, 0.05)
+        assert lip.rel_change <= 0.2
+        # the step grid {0.9, 0.95, 1.0} is the even half of the half-step
+        # grid of 5 points: 5 operators x 16 nodes, not (3 + 5) x 16 = 128
+        assert factorizations == {"lu_factor": 0, "splu": 80}
+
 
 class TestProjectorDistance:
     def test_identical_operators(self):
@@ -299,6 +373,28 @@ class TestProjectorDistance:
         assert comp.smallness < 1.0
         assert comp.measured <= comp.bound
         assert comp.rank0 == comp.rank1 == 3
+
+    def test_norms_match_dense_oracles(self):
+        u = small_abc(0.3)
+        for j, eps1 in ((np.zeros(3), 0.95), (np.array([0.0, 0.0, 0.045]), 0.97)):
+            s0 = dm.ModalOperatorSpec(u, j, 1.0, 2)
+            s1 = dm.ModalOperatorSpec(u, j, eps1, 2)
+            contour = dm.Contour(0.0, 0.5, 16)
+            comp = dm.projector_distance_bound(s0, s1, contour)
+            a0, a1 = dm.assemble_dense(s0), dm.assemble_dense(s1)
+            eye = np.eye(s0.dim)
+            mus, phases = contour.points()
+            r0s = [la.solve(mu * eye - a0, eye) for mu in mus]
+            r1s = [la.solve(mu * eye - a1, eye) for mu in mus]
+            w = contour.radius / contour.nodes
+            p0 = w * sum(ph * r for ph, r in zip(phases, r0s))
+            p1 = w * sum(ph * r for ph, r in zip(phases, r1s))
+            smallness = max(la.norm((a1 - a0) @ r, 2) for r in r0s)
+            sup_r0 = max(la.norm(r, 2) for r in r0s)
+            assert comp.smallness == pytest.approx(smallness, rel=1e-10)
+            assert comp.sup_resolvent == pytest.approx(sup_r0, rel=1e-10)
+            assert comp.measured == pytest.approx(la.norm(p0 - p1, 2), rel=1e-10)
+            assert comp.rank0 == round(np.trace(p0).real) and comp.rank1 == round(np.trace(p1).real)
 
     def test_inapplicable_when_not_contractive(self):
         u = small_abc(0.3)
