@@ -13,8 +13,11 @@ captures a prescribed fraction of the total mass.
 
 Box masses are computed in closed form: |F|^2 is a finite combination of
 plane waves, and each integrates over a centered cube to a product of
-Dirichlet factors 2 sin(q R)/q.  This keeps huge radii (R in the hundreds)
-exact and cheap, where grid quadrature would be hopeless.
+Dirichlet factors 2 sin(q R)/q.  The factor on axis a depends only on the
+two frequencies k_a + j_a on that axis, so the mass is a quadratic form in
+the Kronecker product of three small per-axis Dirichlet matrices, one row
+per (distinct node coordinate, mode) pair.  This keeps huge radii (R in
+the hundreds) exact and cheap, where grid quadrature would be hopeless.
 """
 
 from __future__ import annotations
@@ -23,7 +26,6 @@ import math
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
-import scipy.fft as sfft
 import scipy.integrate
 from scipy.special import sici
 
@@ -34,9 +36,12 @@ from .errors import (
     ConfigError,
     NotConcentrated,
     SolverFailure,
+    TooLarge,
 )
 
 TWO_PI_CUBED = (2.0 * np.pi) ** 3
+# largest box-mass grid (complex entries, 64 MB) BlochFamily.box_mass allocates
+BOX_GRID_CAP = 4_000_000
 
 
 def scale_index(eps: float, zeta: float) -> int:
@@ -152,36 +157,45 @@ class BlochFamily:
     def box_mass(self, radii) -> np.ndarray:
         """Exact integral of |F|^2 over centered cubes of half-width R.
 
-        Works through coefficient cross-correlations: contributions are
-        indexed by mode differences d on a (4N+1)^3 lattice, each carrying
-        a product of Dirichlet factors 2 sin((d + j_n - j_m) R)/(...).
+        |F|^2 pairs plane waves of frequencies s = k + j_n, and each pair
+        integrates to a product of per-axis Dirichlet factors
+        2 sin((s_a - s'_a) R)/(s_a - s'_a).  On axis a the frequencies are
+        u + k_a over the distinct node coordinates u, so the weighted
+        coefficients w_n c_n(k) scatter into a tensor G over these per-axis
+        lists (nodes at one coordinate add), and the mass is the Kronecker
+        quadratic form Re <G, kron(K_1, K_2, K_3, I_3) G> with the real
+        symmetric K_a = 2R sinc((s - s^T) R/pi).  With U_a distinct
+        coordinates on axis a, G holds 3 (2N+1)^3 prod_a U_a entries;
+        families above BOX_GRID_CAP raise TooLarge.
         """
         radii = np.atleast_1d(np.asarray(radii, dtype=float))
         if np.any(radii <= 0.0):
             raise ConfigError("box half-widths must be positive")
-        m = len(self)
         n = self.truncation
-        pad = 4 * n + 1
-        coeffs = np.stack([g.coeffs for g in self.fields])
-        spectra = sfft.fftn(coeffs, s=(pad, pad, pad), axes=(1, 2, 3))
-        dvals = (np.arange(pad) + 2 * n) % pad - 2 * n
-        out = np.zeros(len(radii), dtype=complex)
-        # chunk the pairwise correlation tensor to bound memory
-        block = max(1, int(4e6 / (m * pad**3)))
-        for lo in range(0, m, block):
-            hi = min(lo + block, m)
-            corr = sfft.ifftn(
-                np.einsum("ipqrc,jpqrc->ijpqr", spectra[lo:hi], np.conj(spectra)),
-                axes=(2, 3, 4),
+        width = 2 * n + 1
+        axes = [np.unique(self.j_nodes[:, a], return_inverse=True) for a in range(3)]
+        shape = tuple(len(u) * width for u, _ in axes)
+        if math.prod(shape) * 3 > BOX_GRID_CAP:
+            raise TooLarge(
+                f"box-mass grid {shape} x 3 exceeds the cap of {BOX_GRID_CAP} entries; "
+                "the family's nodes share too few coordinates per axis"
             )
-            dj = self.j_nodes[lo:hi, None, :] - self.j_nodes[None, :, :]
-            q = dj[:, :, :, None] + dvals  # (block, m, axis, pad)
-            wpair = self.weights[lo:hi, None] * self.weights[None, :]
-            for t, r in enumerate(radii):
-                phase = 2.0 * r * np.sinc(q * (r / np.pi))
-                t1 = np.einsum("ijpqr,ijp->ijqr", corr, phase[:, :, 0])
-                t2 = np.einsum("ijqr,ijq->ijr", t1, phase[:, :, 1])
-                out[t] += np.einsum("ijr,ijr,ij->", t2, phase[:, :, 2], wpair)
+        (u1, i1), (u2, i2), (u3, i3) = axes
+        grid = np.zeros((len(u1), width, len(u2), width, len(u3), width, 3), dtype=complex)
+        weighted = np.stack([w * g.coeffs for w, g in zip(self.weights, self.fields)])
+        np.add.at(grid, (i1, slice(None), i2, slice(None), i3), weighted)
+        grid = grid.reshape(*shape, 3)
+        kvals = np.arange(-n, n + 1, dtype=float)
+        freqs = [(u[:, None] + kvals).ravel() for u, _ in axes]
+        out = np.empty(len(radii), dtype=complex)
+        for t, r in enumerate(radii):
+            # each mode product moves the contracted axis to the back, so
+            # three of them leave the component axis in front
+            kg = grid
+            for s in freqs:
+                dirichlet = 2.0 * r * np.sinc(np.subtract.outer(s, s) * (r / np.pi))
+                kg = np.tensordot(kg, dirichlet, axes=(0, 0))
+            out[t] = np.vdot(np.moveaxis(grid, -1, 0), kg)
         if np.max(np.abs(out.imag)) > 1e-8 * (np.max(np.abs(out.real)) + 1e-300):
             raise SolverFailure("box mass came out non-real; family is inconsistent")
         return np.maximum(out.real, 0.0)
@@ -601,17 +615,18 @@ def concentration_sweep(
     quantifies eps-uniformity of the radius.
     """
     eps_values = np.asarray(eps_values, dtype=float)
-    cache: dict[float, BlochFamily] = {}
+    cache: dict[float, float] = {}  # rescaled ratio -> concentration radius
     radii = []
     for eps in eps_values:
         ratio = eps / zeta ** scale_index(eps, zeta)
         key = round(ratio, 12)
         if key not in cache:
-            cache[key] = band_datum(
+            family = band_datum(
                 flow, j_star, half_width, eps=eps, zeta=zeta,
                 truncation=truncation, nodes_per_axis=nodes_per_axis,
             )
-        radii.append(concentration_radius(cache[key], delta, r_max, num=num))
+            cache[key] = concentration_radius(family, delta, r_max, num=num)
+        radii.append(cache[key])
     radii = np.asarray(radii)
     spread = float((radii.max() - radii.min()) / radii.min())
     return SweepResult(eps_values=eps_values, radii=radii, spread=spread)

@@ -31,7 +31,7 @@ class UndefinedDirection(ConfigError):
 
 
 class TooLarge(ConfigError):
-    """A dense path was requested beyond the configured size cap."""
+    """A dense matrix or box-mass grid was requested beyond its size cap."""
 
 
 class NumericalError(DynamoError, RuntimeError):

@@ -9,7 +9,7 @@ import scipy.integrate
 from dynamo import bloch
 from dynamo import fields as df
 from dynamo import modal
-from dynamo.errors import BandBroken, ConfigError, NotConcentrated
+from dynamo.errors import BandBroken, ConfigError, NotConcentrated, TooLarge
 
 DELTA0 = 0.3
 J_STAR = np.array([0.0, 0.0, 0.045])
@@ -36,11 +36,11 @@ def _brute_box_mass(fam, radius):
         for b in range(len(fam)):
             w = fam.weights[a] * fam.weights[b]
             dj = fam.j_nodes[a] - fam.j_nodes[b]
-            for ia in live[a]:
-                for ib in live[b]:
-                    q = ks[ia] - ks[ib] + dj
-                    phi = np.prod(2.0 * radius * np.sinc(q * radius / np.pi))
-                    total += w * np.dot(flat[a][ia], np.conj(flat[b][ib])) * phi
+            # every live mode pair (ia, ib) of the two nodes at once
+            q = ks[live[a]][:, None, :] - ks[live[b]][None, :, :] + dj
+            phi = np.prod(2.0 * radius * np.sinc(q * radius / np.pi), axis=-1)
+            dots = flat[a][live[a]] @ np.conj(flat[b][live[b]]).T
+            total += w * np.sum(dots * phi)
     return total.real
 
 
@@ -244,6 +244,38 @@ class TestBoxMass:
         assert np.all(np.diff(mass) >= -1e-12)
         assert np.all(mass <= fam.total_mass() * (1.0 + 1e-9))
 
+    @pytest.mark.parametrize("j_star, coords", [
+        ((0.03, 0.02, 0.045), [4, 4, 4]),  # box and mirror share no coordinate
+        ((0.0, 0.02, 0.045), [2, 4, 4]),  # they share the x coordinates
+    ])
+    def test_paired_datum_matches_brute_force(self, j_star, coords):
+        fam = bloch.band_datum(
+            _abc_flow(), np.array(j_star), 0.01, truncation=1, nodes_per_axis=2
+        )
+        assert [len(np.unique(fam.j_nodes[:, a])) for a in range(3)] == coords
+        for r in (0.7, 12.0, 90.0):
+            assert fam.box_mass(r)[0] == pytest.approx(_brute_box_mass(fam, r), rel=1e-12)
+
+    def test_coincident_nodes_merge(self, rng):
+        # two nodes at one j land on the same grid points and add
+        nodes = np.array([[0.3, 0.1, -0.2], [0.3, 0.1, -0.2], [-0.4, 0.2, 0.3]])
+        fam = bloch.BlochFamily(
+            nodes, np.array([0.2, 0.5, 0.3]),
+            [df.random_complex_field(1, rng=rng) for _ in range(3)],
+        )
+        for r in (0.7, 12.0, 90.0):
+            assert fam.box_mass(r)[0] == pytest.approx(_brute_box_mass(fam, r), rel=1e-12)
+
+    def test_scattered_family_over_the_cap(self, rng):
+        # a paired band at N = 3 with 5 nodes per axis and j* off every
+        # axis has 10 coordinates per axis and stays under the cap
+        assert 10**3 * 7**3 * 3 <= bloch.BOX_GRID_CAP
+        nodes = rng.uniform(-1.0, 1.0, size=(400, 3))
+        fields = [df.random_complex_field(3, rng=rng) for _ in range(400)]
+        fam = bloch.BlochFamily(nodes, np.ones(400), fields)
+        with pytest.raises(TooLarge):
+            fam.box_mass([1.0, 10.0])
+
 
 class TestConstantBand:
     def test_validation(self):
@@ -420,6 +452,23 @@ class TestConcentration:
         assert sweep.spread <= 0.10
         # the ladder maps each eps to the same rescaled problem here
         assert sweep.spread == 0.0
+
+    def test_sweep_computes_each_radius_once(self, monkeypatch):
+        calls = []
+        box_mass = bloch.BlochFamily.box_mass
+
+        def counted(family, radii):
+            calls.append(radii)
+            return box_mass(family, radii)
+
+        monkeypatch.setattr(bloch.BlochFamily, "box_mass", counted)
+        sweep = bloch.concentration_sweep(
+            _abc_flow(), J_STAR, 0.02, [1.0, 0.9, 0.81], 0.5, 150.0,
+            truncation=1, nodes_per_axis=2,
+        )
+        # all three diffusivities map to the rescaled ratio 1
+        assert len(calls) == 1
+        assert sweep.radii[0] == sweep.radii[1] == sweep.radii[2]
 
     def test_interior_eps_stays_within_tolerance(self):
         base = bloch.concentration_radius(_small_datum(eps=1.0), 0.5, 150.0)

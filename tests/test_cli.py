@@ -132,6 +132,16 @@ class TestBloch:
         assert manifest["report"]["decreasing"] is True
         assert manifest["report"]["total_mass"] == pytest.approx(1.0)
 
+    def test_parseval_csv_bit_identical_across_runs(self, tmp_path):
+        args = ["bloch", "parseval", "--abc", "1,1,1", "--delta0", "0.3",
+                "--j-star", "0,0,0.1", "--half-width", "0.1",
+                "--truncation", "1", "--nodes-per-axis", "5",
+                "--r-max", "40", "--num", "5"]
+        code1, out1, _ = run(args, tmp_path, "a")
+        code2, out2, _ = run(args, tmp_path, "b")
+        assert code1 == code2 == 0
+        assert (out1 / "parseval.csv").read_bytes() == (out2 / "parseval.csv").read_bytes()
+
     def test_synth_writes_volume(self, tmp_path):
         code, out, manifest = run(
             ["bloch", "synth", "--abc", "1,1,1", "--delta0", "0.3",
