@@ -166,7 +166,8 @@ class BlochFamily:
         quadratic form Re <G, kron(K_1, K_2, K_3, I_3) G> with the real
         symmetric K_a = 2R sinc((s - s^T) R/pi).  With U_a distinct
         coordinates on axis a, G holds 3 (2N+1)^3 prod_a U_a entries;
-        families above BOX_GRID_CAP raise TooLarge.
+        families above BOX_GRID_CAP raise TooLarge.  A negative mass, or
+        one that falls as R grows, raises SolverFailure.
         """
         radii = np.atleast_1d(np.asarray(radii, dtype=float))
         if np.any(radii <= 0.0):
@@ -187,18 +188,26 @@ class BlochFamily:
         grid = grid.reshape(*shape, 3)
         kvals = np.arange(-n, n + 1, dtype=float)
         freqs = [(u[:, None] + kvals).ravel() for u, _ in axes]
-        out = np.empty(len(radii), dtype=complex)
+        out = np.empty(len(radii))
         for t, r in enumerate(radii):
             # each mode product moves the contracted axis to the back, so
             # three of them leave the component axis in front
             kg = grid
             for s in freqs:
-                dirichlet = 2.0 * r * np.sinc(np.subtract.outer(s, s) * (r / np.pi))
-                kg = np.tensordot(kg, dirichlet, axes=(0, 0))
-            out[t] = np.vdot(np.moveaxis(grid, -1, 0), kg)
-        if np.max(np.abs(out.imag)) > 1e-8 * (np.max(np.abs(out.real)) + 1e-300):
-            raise SolverFailure("box mass came out non-real; family is inconsistent")
-        return np.maximum(out.real, 0.0)
+                kg = np.tensordot(kg, _dirichlet(s, r), axes=(0, 0))
+            out[t] = np.vdot(np.moveaxis(grid, -1, 0), kg).real
+        # |F|^2 >= 0 on nested boxes: the mass is nonnegative and grows with R
+        tol = 1e-10 * np.max(np.abs(out))
+        if np.min(out) < -tol:
+            raise SolverFailure(f"box mass {np.min(out):.3e} is negative")
+        if np.any(np.diff(out[np.argsort(radii)]) < -tol):
+            raise SolverFailure("box mass decreases with the box half-width")
+        return out
+
+
+def _dirichlet(s: np.ndarray, r: float) -> np.ndarray:
+    """Per-axis factors int_{-R}^{R} e^{i (s_a - s_b) x} dx = 2R sinc((s_a - s_b) R/pi)."""
+    return 2.0 * r * np.sinc(np.subtract.outer(s, s) * (r / np.pi))
 
 
 # ---------------------------------------------------------------------------

@@ -211,9 +211,7 @@ def _cmd_alpha_scan(args, outdir: Path) -> dict:
 def _cmd_spectrum_eigs(args, outdir: Path) -> dict:
     flow = _load_flow(args)
     spec = _operator_spec(args, flow)
-    pairs = modal.leading_eigs(
-        spec, count=args.count, method=args.method, seed=args.seed
-    )
+    pairs = modal.leading_eigs(spec, count=args.count, seed=args.seed)
     _write_csv(
         outdir / "eigs.csv",
         ["index", "p_re", "p_im", "residual"],
@@ -418,7 +416,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--j", required=True, help="wavevector jx,jy,jz")
     p.add_argument("--eps", type=float, default=1.0)
     p.add_argument("--count", type=int, default=6)
-    p.add_argument("--method", default="dense", choices=("dense", "krylov"))
     p = sub(s, "kato", _cmd_spectrum_kato)
     p.add_argument("--jmags", required=True, help="decreasing magnitudes m1,m2,...")
     p.add_argument("--direction", default="0,0,1")

@@ -328,28 +328,6 @@ def cross(f: SpectralField, g: SpectralField, cap: int | None = None) -> Spectra
     return SpectralField(out, kind=kind, scale=f.scale)
 
 
-def convolve_oracle(f: SpectralField, g: SpectralField) -> SpectralField:
-    """Direct double-sum convolution of the cross product (slow reference)."""
-    f._binary_check(g)
-    nf, ng = f.truncation, g.truncation
-    n_out = nf + ng
-    out = np.zeros((2 * n_out + 1,) * 3 + (3,), dtype=np.complex128)
-    rng_f = mode_range(nf)
-    rng_g = mode_range(ng)
-    for i1 in rng_f:
-        for i2 in rng_f:
-            for i3 in rng_f:
-                cf = f.coeffs[i1 + nf, i2 + nf, i3 + nf]
-                if not np.any(cf):
-                    continue
-                for j1 in rng_g:
-                    for j2 in rng_g:
-                        for j3 in rng_g:
-                            cg = g.coeffs[j1 + ng, j2 + ng, j3 + ng]
-                            out[i1 + j1 + n_out, i2 + j2 + n_out, i3 + j3 + n_out] += np.cross(cf, cg)
-    return SpectralField(out, kind="complex", scale=f.scale)
-
-
 # ---------------------------------------------------------------------------
 # norms
 

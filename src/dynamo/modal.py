@@ -13,19 +13,20 @@ with |j| at rates given by the alpha matrix.
 
 This module builds the Galerkin matrix of L on the cubic mode lattice as
 one sparse stencil over the flow's nonzero modes.  The dense matrix (capped
-at DENSE_CAP), the cell solve in alpha and the time stepper in evolve all
-come from it; ``apply_modal`` is an independent matrix-free FFT apply kept
-as the reference.  On top sit a dense eigensolver, shift-invert Arnoldi on
-a sparse LU of the stencil, contour (Riesz) projectors with certified
-idempotency, first-order perturbation checks, continuation of an eigenpair
-in eps, and the quantitative projector comparison bound used to certify
-rank stability.
+at DENSE_CAP, for test oracles), the cell solve in alpha and the time
+stepper in evolve all come from it; ``apply_modal`` is an independent
+matrix-free FFT apply kept as the reference.  On top sit the eigensolver,
+shift-invert Arnoldi on a sparse LU of the stencil, contour (Riesz)
+projectors with certified idempotency, an argument-principle eigenvalue
+count, first-order perturbation checks, continuation of an eigenpair in
+eps, and the quantitative projector comparison bound used to certify rank
+stability.
 
 Every contour quadrature solves with sparse LU factors of mu I - L, made
 once per (operator, node) and reused across node doublings, repeated
-contour sums and shared eps grid points; nodes too close to the spectrum
-are caught by a condition estimate on those factors.  The comparison
-bound takes exact 2-norms by Lanczos on the same factors.
+contour sums, eigenvalue counts and shared eps grid points; nodes too close
+to the spectrum are caught by a condition estimate on those factors.  The
+comparison bound takes exact 2-norms by Lanczos on the same factors.
 """
 
 from __future__ import annotations
@@ -35,7 +36,6 @@ import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-import scipy.linalg as la
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.optimize import linear_sum_assignment
@@ -159,20 +159,6 @@ def assemble_dense(spec: ModalOperatorSpec) -> np.ndarray:
     return _operator(spec).toarray()
 
 
-def assemble_slope_generator(flow: df.SpectralField, j_direction: np.ndarray, n: int) -> np.ndarray:
-    """Dense matrix of the linear-in-|j| term: i jhat x (U x .) + 2 i jhat . grad.
-
-    The derivative part acts as -2 (jhat . k) on the mode k, so the full
-    eps = 1 operator decomposes as L(j) = L(0) + |j| L1 - |j|^2.
-    """
-    jhat = _unit(j_direction)
-    dim = 3 * (2 * n + 1) ** 3
-    if dim > DENSE_CAP:
-        raise TooLarge(f"dense assembly of dimension {dim} exceeds the cap {DENSE_CAP}")
-    diag = np.repeat(-2.0 * np.sum(df.wavevectors(n) * jhat, axis=-1).reshape(-1), 3).astype(np.complex128)
-    return _stencil(flow, n, _cross_matrix(1j * jhat), diag).toarray()
-
-
 def _unit(v) -> np.ndarray:
     v = np.asarray(v, dtype=float).reshape(3)
     nv = np.linalg.norm(v)
@@ -234,47 +220,31 @@ def _make_pair(spec: ModalOperatorSpec, p: complex, h: df.SpectralField) -> EigP
 def leading_eigs(
     spec: ModalOperatorSpec,
     count: int = 6,
-    method: str = "dense",
     sigma: complex | None = None,
     seed: int = 0,
 ) -> list[EigPair]:
-    """Eigenpairs ordered by descending real part.
+    """The ``count`` eigenpairs nearest ``sigma``, ordered by descending real part.
 
-    method='dense' assembles the full matrix (sizes up to DENSE_CAP);
-    method='krylov' runs shift-invert Arnoldi about ``sigma`` (default a
-    point just right of the expected leading eigenvalue) on the sparse
-    operator, factoring it once with a sparse LU, and has no size cap.
+    Shift-invert Arnoldi (ARPACK) on one sparse LU of L - sigma I, started
+    from a random vector fixed by ``seed``; there is no size cap.  The
+    default shift, 0.1 eps, lies just right of the eigenvalues near zero
+    that carry the alpha instability, so the nearest eigenvalues are the
+    leading ones.  ARPACK returns at most dim - 2 of them.
     """
-    if method == "dense":
-        a = assemble_dense(spec)
-        vals, vecs = la.eig(a)
-        order = eig_order(vals)[:count]
-        return [_make_pair(spec, vals[i], vec_to_field(vecs[:, i], spec.truncation)) for i in order]
-    if method != "krylov":
-        raise ConfigError(f"unknown eigensolver method {method!r}")
-
+    if not 1 <= count <= spec.dim - 2:
+        raise ConfigError(f"shift-invert Arnoldi returns 1 to {spec.dim - 2} eigenpairs, not {count}")
     if sigma is None:
         sigma = 0.1 * spec.eps
+    op = _operator(spec).tocsc()
     v0 = np.random.default_rng(seed).standard_normal(spec.dim) + 0.0j
     try:
-        vals, vecs = spla.eigs(_operator(spec).tocsc(), k=count, sigma=sigma, which="LM", v0=v0)
+        lu = spla.splu(sp.csc_array(op - sigma * sp.eye_array(spec.dim, format="csc")), permc_spec="MMD_AT_PLUS_A")
+        opinv = spla.LinearOperator(op.shape, matvec=lu.solve, dtype=np.complex128)
+        vals, vecs = spla.eigs(op, k=count, sigma=sigma, which="LM", v0=v0, OPinv=opinv)
     except RuntimeError as exc:  # pragma: no cover - no convergence, or sigma exactly singular
         raise EigsFailed(f"shift-invert Arnoldi failed: {exc}") from exc
     order = eig_order(vals)
     return [_make_pair(spec, vals[i], vec_to_field(vecs[:, i], spec.truncation)) for i in order]
-
-
-def kernel_basis(flow: df.SpectralField, n: int, tol: float = 1e-12) -> list[df.SpectralField]:
-    """Basis v + S(v) of the kernel of the j = 0, eps = 1 operator."""
-    from . import alpha  # local import; alpha builds on this module
-
-    basis = []
-    for axis in range(3):
-        v = np.zeros(3)
-        v[axis] = 1.0
-        sol = alpha.solve_cell_problem(flow, v, method="direct", tol=tol, truncation=n)
-        basis.append(df.const_field(v) + sol.field)
-    return basis
 
 
 # ---------------------------------------------------------------------------
@@ -370,12 +340,60 @@ def _contour_sum(res: _Resolvent, contour: Contour, block: np.ndarray) -> np.nda
     return acc * (contour.radius / contour.nodes)
 
 
+def _parity(perm: np.ndarray) -> int:
+    """Parity of a permutation: its length minus its number of cycles, mod 2."""
+    perm = perm.tolist()
+    seen = [False] * len(perm)
+    cycles = 0
+    for start in range(len(perm)):
+        if not seen[start]:
+            cycles += 1
+            i = start
+            while not seen[i]:
+                seen[i] = True
+                i = perm[i]
+    return (len(perm) - cycles) % 2
+
+
+def _count(res: _Resolvent, contour: Contour, max_nodes: int = 256) -> int:
+    """Number of eigenvalues of L inside the circle, by the argument principle.
+
+    With Pr A Pc = L U the sparse LU of A = mu I - L at a node, the phase of
+    det A is sum arg diag(U) + pi (parity(Pr) + parity(Pc)).  Dividing by
+    det(mu I - D), D the diagonal of L, leaves a phase that turns slowly and
+    winds (eigenvalues inside) - (diagonal entries inside) times.  The node
+    count doubles, reusing the factors of the nested nodes, until every
+    phase step between neighbours is below pi/2; past ``max_nodes`` the
+    count raises instead of guessing.
+    """
+    d = res.matrix.diagonal()
+    nodes = contour.nodes
+    while True:
+        mus, _ = Contour(contour.center, contour.radius, nodes).points()
+        phase = np.empty(nodes)
+        for i, mu in enumerate(mus):
+            lu = res.lu(mu)
+            phase[i] = (np.sum(np.angle(lu.U.diagonal())) - np.sum(np.angle(mu - d))
+                        + np.pi * (_parity(lu.perm_r) + _parity(lu.perm_c)))
+        steps = np.angle(np.exp(1j * (np.roll(phase, -1) - phase)))
+        if np.max(np.abs(steps)) < np.pi / 2:
+            break
+        if nodes >= max_nodes:
+            raise SolverFailure(
+                f"argument-principle phase steps up to {np.max(np.abs(steps)):.2f} rad with {nodes} nodes"
+            )
+        nodes *= 2
+    inside = int(np.sum(np.abs(d - contour.center) < contour.radius))
+    return int(round(np.sum(steps) / (2.0 * np.pi))) + inside
+
+
 class RieszProjector:
     """Spectral projector onto the eigenvalues enclosed by a circle.
 
     Construction doubles the quadrature node count until the idempotency
     defect measured on random probes drops below ``target_defect``; the
-    achieved defect and a probe-based rank estimate are kept as attributes.
+    achieved defect and the rank, the argument-principle count of the
+    enclosed eigenvalues, are kept as attributes.
     """
 
     def __init__(
@@ -405,16 +423,15 @@ class RieszProjector:
             raise SolverFailure(
                 f"projector idempotency stalled at {defect:.2e} with {nodes} nodes"
             )
-        # the factors are dropped here: a projector kept alive would hold
-        # one LU per node for the rest of its life
-        self._matrix = res.matrix
         self.contour = Contour(contour.center, contour.radius, nodes)
         self.idempotency_defect = defect
-        sv = la.svdvals(once)
-        self.rank_estimate = int(np.sum(sv > 1e-6 * max(sv[0], 1e-300)))
+        self.rank_estimate = _count(res, self.contour)
 
     def apply_block(self, block: np.ndarray) -> np.ndarray:
-        return _contour_sum(_Resolvent(self._matrix), self.contour, block)
+        # a projector keeps no arrays from construction: held across calls,
+        # even the sparse matrix pins heap between the freed node factors,
+        # and the process grows with every projector kept alive
+        return _contour_sum(_Resolvent(_operator(self.spec)), self.contour, block)
 
     def apply(self, f: df.SpectralField) -> df.SpectralField:
         x = field_to_vec(df.resize(f, self.spec.truncation))
@@ -429,7 +446,7 @@ class ProjectorComparison:
     of the perturbation estimate; ``measured`` is the 2-norm distance of
     the quadrature projectors.  All three norms are exact 2-norms (largest
     singular values by Lanczos on the node factorizations), and the ranks
-    are the rounded traces of the quadrature projectors.
+    are argument-principle counts of the eigenvalues inside the contour.
     """
 
     smallness: float
@@ -458,14 +475,8 @@ def projector_distance_bound(
         raise ConfigError("operators must share one truncation for comparison")
     mus, phases = contour.points()
     weights = phases * (contour.radius / contour.nodes)
-
-    def rank(spec: ModalOperatorSpec) -> int:
-        """Rounded trace of the quadrature projector, sum_k w_k tr R(mu_k)."""
-        lam = la.eigvals(assemble_dense(spec))
-        return int(round(np.sum(weights[:, None] / (mus[:, None] - lam[None, :])).real))
-
-    rank0, rank1 = rank(spec0), rank(spec1)
     res0, res1 = _Resolvent(_operator(spec0)), _Resolvent(_operator(spec1))
+    rank0, rank1 = _count(res0, contour), _count(res1, contour)
     delta = res1.matrix - res0.matrix
     delta_h = delta.conj().T
     dim = spec0.dim
@@ -542,7 +553,7 @@ def first_order_check(
     rem = np.zeros((len(mags), 3))
     for i, m in enumerate(mags):
         spec = ModalOperatorSpec(flow, m * jhat, 1.0, truncation)
-        top = leading_eigs(spec, count=3, method="dense")
+        top = leading_eigs(spec, count=3)
         ps = np.array([t.p for t in top])
         # assign branches against the shift-corrected model mu|j| - |j|^2;
         # matching on the bare linear term is ambiguous once |j|^2
@@ -607,9 +618,10 @@ def continue_in_eps(
     if not 0.0 < target_eps <= start_eps:
         raise ConfigError("need 0 < target_eps <= start_eps")
     spec0 = ModalOperatorSpec(flow, j, start_eps, truncation)
-    a0 = assemble_dense(spec0)
-    vals = la.eigvals(a0)
-    gaps = np.abs(vals - start.p)
+    # the two eigenvalues nearest start.p: itself and its nearest neighbour
+    gaps = np.array([abs(e.p - start.p) for e in leading_eigs(spec0, count=2, sigma=start.p)])
+    if np.all(gaps <= 1e-10):
+        raise ConfigError(f"start eigenvalue {start.p:.6g} is not simple")
     gap = float(np.min(gaps[gaps > 1e-10]))
     radius = 0.5 * gap
     floor = 0.5 * start.p.real

@@ -9,7 +9,8 @@ import scipy.integrate
 from dynamo import bloch
 from dynamo import fields as df
 from dynamo import modal
-from dynamo.errors import BandBroken, ConfigError, NotConcentrated, TooLarge
+from dynamo.errors import BandBroken, ConfigError, NotConcentrated, SolverFailure, TooLarge
+from support import dense_eigenvalues
 
 DELTA0 = 0.3
 J_STAR = np.array([0.0, 0.0, 0.045])
@@ -277,6 +278,22 @@ class TestBoxMass:
             fam.box_mass([1.0, 10.0])
 
 
+    def test_negative_mass_raises(self, monkeypatch):
+        # one factor per axis: three sign flips flip the quadratic form
+        fam, dirichlet = _small_datum(), bloch._dirichlet
+        monkeypatch.setattr(bloch, "_dirichlet", lambda s, r: -dirichlet(s, r))
+        with pytest.raises(SolverFailure, match="negative"):
+            fam.box_mass([1.0, 4.0, 16.0])
+
+    def test_decreasing_mass_raises(self, monkeypatch):
+        # dividing every axis factor by R^2 keeps the form positive but
+        # makes the mass fall like R^-3 once the box holds most of it
+        fam, dirichlet = _small_datum(), bloch._dirichlet
+        monkeypatch.setattr(bloch, "_dirichlet", lambda s, r: dirichlet(s, r) / r**2)
+        with pytest.raises(SolverFailure, match="decreases"):
+            fam.box_mass([16.0, 1.0, 4.0])
+
+
 class TestConstantBand:
     def test_validation(self):
         v = np.ones(3)
@@ -382,7 +399,7 @@ class TestBandDatum:
         spec = modal.ModalOperatorSpec(
             flow=_abc_flow(), j=fam.j_nodes[mirror], eps=1.0, truncation=1
         )
-        dense_p = modal.leading_eigs(spec, count=1)[0].p
+        dense_p = dense_eigenvalues(spec)[0]
         assert abs(dense_p - fam.exponents[mirror]) < 1e-10
         assert abs(dense_p - np.conj(fam.exponents[i])) < 1e-10
 

@@ -99,6 +99,24 @@ class TestSpectrum:
         assert manifest["report"]["leading_residual"] < 1e-10
         assert len((out / "eigs.csv").read_text().splitlines()) == 5
 
+    def test_eigs_csv_bit_identical_across_runs(self, tmp_path):
+        args = ["spectrum", "eigs", "--abc", "1,1,1", "--delta0", "0.3",
+                "--j", "0.01,0.02,0.04", "--truncation", "3", "--seed", "5"]
+        _, out1, _ = run(args, tmp_path, "a")
+        _, out2, _ = run(args, tmp_path, "b")
+        assert (out1 / "eigs.csv").read_bytes() == (out2 / "eigs.csv").read_bytes()
+
+    def test_method_flag_removed(self, tmp_path):
+        args = ["spectrum", "eigs", "--abc", "1,1,1", "--j", "0,0,0.045",
+                "--truncation", "1", "--method", "dense"]
+        with pytest.raises(SystemExit) as exc:
+            run(args, tmp_path)
+        assert exc.value.code == 2
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"method": "krylov"}))
+        code, _, _ = run(args[:-2] + ["--config", str(cfg)], tmp_path, "cfg")
+        assert code == 2
+
     def test_kato_slope_near_two(self, tmp_path):
         code, _, manifest = run(
             ["spectrum", "kato", "--abc", "1,1,1", "--delta0", "0.05",

@@ -8,12 +8,15 @@ from hypothesis import given, settings, strategies as st
 
 import dynamo.fields as df
 import dynamo.modal as dm
+from dynamo import bloch, cli
 from dynamo.errors import (
     BoundInapplicable,
     ConfigError,
     ContourTouchesSpectrum,
+    SolverFailure,
     TooLarge,
 )
+from support import assemble_slope_generator, dense_eigenvalues, kernel_basis
 
 DELTA0 = 0.05
 
@@ -107,7 +110,7 @@ class TestDenseAssembly:
         mag = 0.15
         a_j = dm.assemble_dense(dm.ModalOperatorSpec(u, mag * jhat, 1.0, 2))
         a_0 = dm.assemble_dense(dm.ModalOperatorSpec(u, np.zeros(3), 1.0, 2))
-        l_1 = dm.assemble_slope_generator(u, jhat, 2)
+        l_1 = assemble_slope_generator(u, jhat, 2)
         combined = a_0 + mag * l_1 - mag**2 * np.eye(a_0.shape[0])
         assert np.max(np.abs(a_j - combined)) < 1e-12
         w1 = la.eigvals(a_j)
@@ -149,25 +152,33 @@ class TestLeadingEigs:
         # positive-growth eigenpairs are exactly solenoidal in the shifted sense
         assert top[0].modal_div_residual < 1e-8
 
-    def test_krylov_matches_dense(self):
-        spec = dm.ModalOperatorSpec(small_abc(0.3), np.array([0.0, 0.0, 0.045]), 1.0, 2)
-        dense = dm.leading_eigs(spec, count=3, method="dense")
-        krylov = dm.leading_eigs(spec, count=3, method="krylov", sigma=0.05)
-        for d, k in zip(dense, krylov):
-            assert abs(d.p - k.p) < 1e-8
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("eps", [1.0, 0.9])
+    def test_leading_six_match_dense_oracle(self, n, eps):
+        # workload-like ABC flows: amplitudes in [0.27, 0.33], |j| in [0.035, 0.05]
+        rng = np.random.default_rng(100 * n + round(10 * eps))
+        u = df.make_abc(df.AbcParams(*rng.uniform(0.27, 0.33, 3)))
+        j = rng.standard_normal(3)
+        j *= rng.uniform(0.035, 0.05) / np.linalg.norm(j)
+        spec = dm.ModalOperatorSpec(u, j, eps, n)
+        top = dm.leading_eigs(spec, count=6)
+        oracle = dense_eigenvalues(spec)[:6]
+        assert np.max(np.abs(np.array([t.p for t in top]) - oracle)) <= 1e-10
+        for t in top:
+            assert dm.eig_residual(spec, t.p, t.field) <= 1e-10
 
     def test_krylov_never_builds_a_dense_matrix(self, monkeypatch):
         spec = dm.ModalOperatorSpec(small_abc(0.3), np.array([0.0, 0.0, 0.045]), 1.0, 2)
-        dense = dm.leading_eigs(spec, count=3, method="dense")
+        oracle = dense_eigenvalues(spec)[:3]
 
         def refuse(_spec):
-            raise AssertionError("krylov path assembled a dense matrix")
+            raise AssertionError("eigensolver assembled a dense matrix")
 
         monkeypatch.setattr(dm, "assemble_dense", refuse)
-        krylov = dm.leading_eigs(spec, count=3, method="krylov", sigma=0.05)
-        for d, k in zip(dense, krylov):
-            assert abs(d.p - k.p) <= 1e-10
-            assert dm.eig_residual(spec, k.p, k.field) <= 1e-10
+        top = dm.leading_eigs(spec, count=3, sigma=0.05)
+        for p, t in zip(oracle, top):
+            assert abs(p - t.p) <= 1e-10
+            assert dm.eig_residual(spec, t.p, t.field) <= 1e-10
 
     def test_conjugation_symmetry(self):
         u = small_abc()
@@ -177,14 +188,17 @@ class TestLeadingEigs:
         assert abs(tm.p - np.conj(tp.p)) < 1e-10
         assert (tm.field - tp.field.conjugate()).l2() < 1e-6
 
-    def test_unknown_method_rejected(self):
-        with pytest.raises(ConfigError):
-            dm.leading_eigs(dm.ModalOperatorSpec(small_abc(), np.zeros(3), 1.0, 1), method="magic")
+    def test_count_above_dim_minus_two_rejected(self):
+        spec = dm.ModalOperatorSpec(small_abc(), np.zeros(3), 1.0, 1)
+        assert len(dm.leading_eigs(spec, count=spec.dim - 2)) == spec.dim - 2
+        for count in (0, spec.dim - 1):
+            with pytest.raises(ConfigError):
+                dm.leading_eigs(spec, count=count)
 
 
 class TestKernelBasis:
     def test_zero_flow_constants(self):
-        basis = dm.kernel_basis(df.zero_field(1), 1)
+        basis = kernel_basis(df.zero_field(1), 1)
         for axis, b in enumerate(basis):
             e = np.zeros(3)
             e[axis] = 1.0
@@ -192,7 +206,7 @@ class TestKernelBasis:
 
     def test_small_abc_kernel(self):
         u = small_abc()
-        basis = dm.kernel_basis(u, 2, tol=1e-12)
+        basis = kernel_basis(u, 2, tol=1e-12)
         spec = dm.ModalOperatorSpec(u, np.zeros(3), 1.0, 2)
         for axis, b in enumerate(basis):
             e = np.zeros(3)
@@ -290,6 +304,67 @@ class TestRieszProjector:
             dm.Contour(0.0, 0.5, 4)
 
 
+class TestCount:
+    @pytest.mark.parametrize("flow, j, contour, want", [
+        (df.zero_field(1), (0.0, 0.0, 0.0), (0.0, 0.5), 3),
+        (small_abc(0.3), (0.0, 0.0, 0.0), (0.0, 0.5), 3),
+        (small_abc(0.3), (0.0, 0.0, 0.045), (0.0, 0.5), 3),
+        (small_abc(0.3), (0.0, 0.0, 0.045), (-1.0, 0.3), 17),
+    ])
+    def test_matches_dense_eigenvalues(self, flow, j, contour, want):
+        spec = dm.ModalOperatorSpec(flow, np.array(j), 1.0, 2)
+        center, radius = contour
+        lam = dense_eigenvalues(spec)
+        assert np.sum(np.abs(lam - center) < radius) == want
+        assert dm._count(dm._Resolvent(dm._operator(spec)), dm.Contour(center, radius, 8)) == want
+
+    def test_unresolved_phase_raises(self):
+        # the (-1, 0.3) circle needs 16 nodes; capped at 8 the count refuses
+        spec = dm.ModalOperatorSpec(small_abc(0.3), np.array([0.0, 0.0, 0.045]), 1.0, 2)
+        res = dm._Resolvent(dm._operator(spec))
+        with pytest.raises(SolverFailure):
+            dm._count(res, dm.Contour(-1.0, 0.3, 8), max_nodes=8)
+        assert dm._count(res, dm.Contour(-1.0, 0.3, 8), max_nodes=16) == 17
+
+    def test_contour_next_to_an_eigenvalue_raises(self):
+        spec = dm.ModalOperatorSpec(small_abc(0.3), np.array([0.0, 0.0, 0.045]), 1.0, 1)
+        lam = dense_eigenvalues(spec)[0]
+        with pytest.raises(ContourTouchesSpectrum):
+            dm._count(dm._Resolvent(dm._operator(spec)), dm.Contour(lam - 0.1 + 1e-15, 0.1, 16))
+
+
+def test_production_paths_use_no_dense_eigensolver(monkeypatch, tmp_path):
+    import scipy.linalg
+
+    def refuse(owner, name, allowed=lambda a: False):
+        orig = getattr(owner, name)
+
+        def call(a, *args, **kwargs):
+            if not allowed(a):
+                raise AssertionError(f"{name} called on {type(a).__name__}")
+            return orig(a, *args, **kwargs)
+
+        monkeypatch.setattr(owner, name, call)
+
+    # the 3 x 3 alpha matrix is the one dense eigenproblem allowed
+    refuse(scipy.linalg, "eig", allowed=lambda a: np.shape(a) == (3, 3))
+    refuse(scipy.linalg, "eigvals")
+    refuse(dm, "assemble_dense")
+    u = small_abc(0.3)
+    j = np.array([0.0, 0.0, 0.045])
+    dm.first_order_check(small_abc(), [0, 0, 1], [0.01, 0.005], truncation=1)
+    bloch.prepare_band_pairs(u, [j, 1.1 * j], 1.0, 1)
+    start = dm.leading_eigs(dm.ModalOperatorSpec(u, j, 1.0, 1), count=1)[0]
+    assert dm.continue_in_eps(u, j, start, 0.95, 1).window == pytest.approx(0.05)
+    comp = dm.projector_distance_bound(
+        dm.ModalOperatorSpec(u, j, 1.0, 1), dm.ModalOperatorSpec(u, j, 0.95, 1), dm.Contour(0.0, 0.5, 8)
+    )
+    assert comp.rank0 == comp.rank1 == 3
+    assert dm.RieszProjector(dm.ModalOperatorSpec(u, np.zeros(3), 1.0, 1), dm.Contour(0.0, 0.5, 16)).rank_estimate == 3
+    assert cli.main(["spectrum", "eigs", "--abc", "1,1,1", "--delta0", "0.3", "--j", "0,0,0.045",
+                     "--truncation", "1", "--out", str(tmp_path / "eigs")]) == 0
+
+
 class TestFirstOrderCheck:
     def test_zero_flow_remainder_is_exactly_quadratic(self):
         rep = dm.first_order_check(df.zero_field(1), [0, 0, 1], [0.02, 0.01, 0.005], truncation=1)
@@ -321,6 +396,13 @@ class TestContinuation:
         start = dm.leading_eigs(dm.ModalOperatorSpec(u, j, 1.0, 2), count=1)[0]
         res = dm.continue_in_eps(u, j, start, 1.0, 2)
         assert len(res.path) == 1 and res.achieved_eps == 1.0 and not res.stalled
+
+    def test_non_simple_start_rejected(self):
+        # at j = 0 the kernel makes 0 a triple eigenvalue: no gap to follow
+        u = small_abc(0.3)
+        start = dm.leading_eigs(dm.ModalOperatorSpec(u, np.zeros(3), 1.0, 1), count=1)[0]
+        with pytest.raises(ConfigError):
+            dm.continue_in_eps(u, np.zeros(3), start, 0.9, 1)
 
     def test_window_with_growth_floor(self):
         u = small_abc(0.3)
