@@ -53,6 +53,13 @@ def scale_index(eps: float, zeta: float) -> int:
     return int(math.floor(math.log(eps) / math.log(zeta) + 1e-9))
 
 
+def _check_radii(radii) -> np.ndarray:
+    radii = np.atleast_1d(np.asarray(radii, dtype=float))
+    if not np.all(np.isfinite(radii) & (radii > 0.0)):
+        raise ConfigError("box half-widths must be positive and finite")
+    return radii
+
+
 def gauss_legendre_box(center, half_width: float, nodes_per_axis: int = 5):
     """Tensor Gauss-Legendre rule on the cube of given center and half-width.
 
@@ -62,8 +69,8 @@ def gauss_legendre_box(center, half_width: float, nodes_per_axis: int = 5):
     center = np.asarray(center, dtype=float)
     if center.shape != (3,):
         raise ConfigError("box center must be a 3-vector")
-    if half_width <= 0.0:
-        raise ConfigError("box half-width must be positive")
+    if not (half_width > 0.0 and math.isfinite(half_width)):
+        raise ConfigError(f"box half-width must be positive and finite, got {half_width}")
     if nodes_per_axis < 1:
         raise ConfigError("need at least one node per axis")
     x, w = np.polynomial.legendre.leggauss(nodes_per_axis)
@@ -169,9 +176,7 @@ class BlochFamily:
         families above BOX_GRID_CAP raise TooLarge.  A negative mass, or
         one that falls as R grows, raises SolverFailure.
         """
-        radii = np.atleast_1d(np.asarray(radii, dtype=float))
-        if np.any(radii <= 0.0):
-            raise ConfigError("box half-widths must be positive")
+        radii = _check_radii(radii)
         n = self.truncation
         width = 2 * n + 1
         axes = [np.unique(self.j_nodes[:, a], return_inverse=True) for a in range(3)]
@@ -234,8 +239,8 @@ class ConstantBand:
         object.__setattr__(self, "j_star", js)
         if v.shape != (3,) or js.shape != (3,):
             raise ConfigError("amplitude and center must be 3-vectors")
-        if self.half_width <= 0.0:
-            raise ConfigError("band half-width must be positive")
+        if not (self.half_width > 0.0 and math.isfinite(self.half_width)):
+            raise ConfigError(f"band half-width must be positive and finite, got {self.half_width}")
         if np.max(np.abs(js)) + self.half_width >= np.pi:
             raise ConfigError("band must stay strictly inside the fundamental cell")
         if self.paired and np.max(np.abs(js)) <= self.half_width:
@@ -268,9 +273,7 @@ class ConstantBand:
         return 2.0 * val
 
     def box_mass(self, radii) -> np.ndarray:
-        radii = np.atleast_1d(np.asarray(radii, dtype=float))
-        if np.any(radii <= 0.0):
-            raise ConfigError("box half-widths must be positive")
+        radii = _check_radii(radii)
         v2 = float(np.sum(np.abs(self.amplitude) ** 2))
         out = np.empty(len(radii))
         for t, r in enumerate(radii):
@@ -307,8 +310,8 @@ class ConstantBand:
 
 
 def volume_axis(half_width: float, spacing: float) -> np.ndarray:
-    if spacing <= 0.0 or half_width < spacing:
-        raise ConfigError("need spacing > 0 and half-width >= spacing")
+    if not (0.0 < spacing <= half_width and math.isfinite(half_width)):
+        raise ConfigError(f"need spacing > 0 and a finite half-width >= spacing, got {spacing}, {half_width}")
     m2 = int(math.floor(half_width / spacing + 1e-9))
     return spacing * np.arange(-m2, m2 + 1)
 
@@ -447,8 +450,8 @@ def parseval_check(family, r_max: float, num: int = 16, r_min: float | None = No
     is not square-integrable, so its rel_err grows without bound and the
     report flags it as non-decreasing.
     """
-    if r_max <= 0.0 or num < 2:
-        raise ConfigError("need r_max > 0 and at least two radii")
+    if not (r_max > 0.0 and math.isfinite(r_max)) or num < 2:
+        raise ConfigError(f"need a finite r_max > 0 and at least two radii, got r_max = {r_max}, num = {num}")
     radii = np.geomspace(r_min if r_min is not None else r_max / 16.0, r_max, num)
     lhs = family.box_mass(radii)
     rhs = family.total_mass()

@@ -63,6 +63,8 @@ def _floats(text: str, count: int | None = None) -> np.ndarray:
         raise ConfigError(f"cannot parse {text!r} as comma-separated numbers") from exc
     if count is not None and len(vals) != count:
         raise ConfigError(f"expected {count} comma-separated numbers, got {text!r}")
+    if not np.all(np.isfinite(vals)):
+        raise ConfigError(f"expected finite numbers, got {text!r}")
     return vals
 
 
@@ -97,8 +99,8 @@ def _load_flow(args) -> df.SpectralField:
         f = df.make_abc(df.AbcParams(a, b, c))
     else:
         raise ConfigError("a flow is required: pass --abc a,b,c or --flow-file path")
-    if args.delta0 <= 0.0:
-        raise ConfigError(f"amplitude factor must be positive, got {args.delta0}")
+    if not (args.delta0 > 0.0 and np.isfinite(args.delta0)):
+        raise ConfigError(f"amplitude factor must be positive and finite, got {args.delta0}")
     if args.delta0 != 1.0:
         f = df.SpectralField(f.coeffs * args.delta0, kind=f.kind, scale=f.scale)
     return f

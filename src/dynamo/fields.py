@@ -145,9 +145,14 @@ def _embed(coeffs: np.ndarray, n_out: int) -> np.ndarray:
 
 
 def resize(f: SpectralField, n_out: int) -> SpectralField:
-    """Zero-pad (or truncate) a field to truncation radius n_out."""
+    """Zero-pad (or truncate) a field to truncation radius n_out.
+
+    Fields are immutable, so one already at n_out is returned as it is.
+    """
     n_in = f.truncation
-    if n_out >= n_in:
+    if n_out == n_in:
+        return f
+    if n_out > n_in:
         return SpectralField(_embed(f.coeffs, n_out), kind=f.kind, scale=f.scale)
     lo, hi = n_in - n_out, n_in + n_out + 1
     return SpectralField(f.coeffs[lo:hi, lo:hi, lo:hi], kind=f.kind, scale=f.scale)

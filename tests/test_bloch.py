@@ -85,6 +85,9 @@ class TestGaussBox:
             bloch.gauss_legendre_box([0.0, 0.0, 0.0], -0.1)
         with pytest.raises(ConfigError):
             bloch.gauss_legendre_box([0.0, 0.0, 0.0], 0.1, 0)
+        for bad in (math.nan, math.inf):
+            with pytest.raises(ConfigError):
+                bloch.gauss_legendre_box([0.0, 0.0, 0.0], bad)
 
 
 class TestConjugateMirror:
@@ -219,6 +222,15 @@ class TestBoxMass:
             brute = _brute_box_mass(fam, r)
             assert fam.box_mass(r)[0] == pytest.approx(brute, rel=1e-12)
 
+    @pytest.mark.parametrize("bad", [0.0, -1.0, math.nan, math.inf])
+    def test_invalid_radius_rejected(self, bad):
+        # NaN used to slip past the sign check and give NaN masses
+        fam = _small_datum()
+        band = bloch.ConstantBand(np.ones(3), np.array([0.5, 0.4, 0.3]), 0.1)
+        for family in (fam, band):
+            with pytest.raises(ConfigError):
+                family.box_mass([1.0, bad])
+
     def test_radii_vectorization(self, rng):
         fam = _small_datum()
         radii = np.array([1.0, 4.0, 16.0])
@@ -303,6 +315,8 @@ class TestConstantBand:
             bloch.ConstantBand(v, np.array([3.1, 0.0, 0.0]), 0.2)
         with pytest.raises(ConfigError):  # boxes around +-j* overlap
             bloch.ConstantBand(v, np.array([0.05, 0.0, 0.0]), 0.1)
+        with pytest.raises(ConfigError):
+            bloch.ConstantBand(v, np.array([0.5, 0.4, 0.3]), math.nan)
 
     def test_axis_mass_against_quadrature(self):
         band = bloch.ConstantBand(np.ones(3), np.array([0.5, 0.4, 0.3]), 0.1)
@@ -381,6 +395,9 @@ class TestParseval:
             bloch.parseval_check(band, -1.0)
         with pytest.raises(ConfigError):
             bloch.parseval_check(band, 10.0, num=1)
+        for bad in (math.nan, math.inf):
+            with pytest.raises(ConfigError):
+                bloch.parseval_check(band, bad)
 
 
 class TestBandDatum:

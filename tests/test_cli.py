@@ -48,6 +48,13 @@ class TestAlphaMatrix:
         assert code == 2
         assert not (out / "eigenvalues.csv").exists()
 
+    @pytest.mark.parametrize("flags", [["--abc", "nan,1,1"], ["--abc", "1,1,1", "--delta0", "nan"],
+                                       ["--abc", "1,1,1", "--delta0", "inf"]])
+    def test_non_finite_flow_exits_2(self, tmp_path, flags):
+        code, out, _ = run(["alpha", "matrix", "--j", "1,0,0"] + flags, tmp_path)
+        assert code == 2
+        assert not (out / "eigenvalues.csv").exists()
+
     def test_flow_and_abc_together_exit_2(self, tmp_path):
         code, _, _ = run(
             ["alpha", "matrix", "--abc", "1,1,1", "--flow-file", "x.field",
@@ -138,6 +145,17 @@ class TestEvolve:
         trace = (out / "trace.csv").read_text().splitlines()
         assert len(trace) == rep["samples"] + 1
 
+    @pytest.mark.parametrize("flags", [["--t-end", "5", "--dt", "0"],
+                                       ["--t-end", "5", "--dt", "-0.1"],
+                                       ["--t-end", "nan"],
+                                       ["--t-end", "inf"]])
+    def test_invalid_time_inputs_exit_2(self, tmp_path, flags):
+        code, out, _ = run(
+            ["evolve", "--abc", "1,1,1", "--delta0", "0.3", "--j", "0,0,0.045",
+             "--truncation", "1"] + flags, tmp_path)
+        assert code == 2
+        assert not (out / "trace.csv").exists()
+
 
 class TestBloch:
     def test_parseval_decreasing_inside_horizon(self, tmp_path):
@@ -159,6 +177,35 @@ class TestBloch:
         code2, out2, _ = run(args, tmp_path, "b")
         assert code1 == code2 == 0
         assert (out1 / "parseval.csv").read_bytes() == (out2 / "parseval.csv").read_bytes()
+
+    def test_non_finite_radius_exits_2(self, tmp_path):
+        code, out, _ = run(
+            ["bloch", "parseval", "--abc", "1,1,1", "--delta0", "0.3",
+             "--j-star", "0,0,0.1", "--half-width", "0.1",
+             "--truncation", "1", "--nodes-per-axis", "2",
+             "--r-max", "nan", "--num", "5"], tmp_path)
+        assert code == 2
+        assert not (out / "parseval.csv").exists()
+
+    def test_non_finite_half_width_exits_2(self, tmp_path):
+        code, out, _ = run(
+            ["bloch", "synth", "--abc", "1,1,1", "--delta0", "0.3",
+             "--j-star", "0,0,0.1", "--half-width", "nan",
+             "--truncation", "1", "--nodes-per-axis", "2",
+             "--grid-half", "2", "--grid-spacing", "0.5"], tmp_path)
+        assert code == 2
+        assert not (out / "volume.vol").exists()
+
+    @pytest.mark.parametrize("grid", [["--grid-half", "nan", "--grid-spacing", "0.5"],
+                                      ["--grid-half", "2", "--grid-spacing", "nan"],
+                                      ["--grid-half", "inf", "--grid-spacing", "0.5"]])
+    def test_non_finite_grid_exits_2(self, tmp_path, grid):
+        code, out, _ = run(
+            ["bloch", "synth", "--abc", "1,1,1", "--delta0", "0.3",
+             "--j-star", "0,0,0.1", "--half-width", "0.1",
+             "--truncation", "1", "--nodes-per-axis", "2"] + grid, tmp_path)
+        assert code == 2
+        assert not (out / "volume.vol").exists()
 
     def test_synth_writes_volume(self, tmp_path):
         code, out, manifest = run(

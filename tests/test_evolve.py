@@ -10,6 +10,7 @@ from dynamo import fields as df
 from dynamo import modal
 from dynamo import evolve
 from dynamo.errors import BlowUpDetected, ConfigError, SolverFailure
+from support import evolve_reference
 
 
 def _diffusive_spec(n=2, eps=0.8, j=(0.2, 0.0, -0.1)):
@@ -112,6 +113,30 @@ class TestEvolve:
         run = evolve.evolve(spec, h0, t_end=1.0, dt=0.1)
         with pytest.raises(ConfigError):
             evolve.fit_growth(run, window_fraction=0.0)
+
+    @pytest.mark.parametrize("dt", [0.0, -0.1, math.nan, math.inf])
+    def test_invalid_time_step_rejected(self, dt):
+        # a negative dt used to be rounded into one step of length t_end
+        spec = _diffusive_spec(n=1)
+        h0 = df.const_field([1.0, 0.0, 0.0], n=1)
+        with pytest.raises(ConfigError):
+            evolve.evolve(spec, h0, t_end=1.0, dt=dt)
+        with pytest.raises(ConfigError):
+            evolve.Stepper(spec).step(h0, dt)
+
+    @pytest.mark.parametrize("t_end", [math.nan, math.inf, 0.0])
+    def test_invalid_end_time_rejected(self, t_end):
+        spec = _diffusive_spec(n=1)
+        h0 = df.const_field([1.0, 0.0, 0.0], n=1)
+        with pytest.raises(ConfigError):
+            evolve.evolve(spec, h0, t_end=t_end, dt=0.1)
+
+    def test_non_finite_start_detected(self):
+        spec = _diffusive_spec(n=1)
+        c = np.zeros((3, 3, 3, 3), dtype=np.complex128)
+        c[1, 1, 1] = [np.inf, 0.0, 0.0]
+        with pytest.raises(BlowUpDetected):
+            evolve.evolve(spec, df.SpectralField(c, kind="complex"), t_end=1.0, dt=0.1)
 
     def test_eigenvector_growth_matches_eigenvalue(self):
         # Unstable branch: gamma from the trace must agree with Re p
@@ -259,3 +284,59 @@ class TestFitWindow:
         spec = _abc_spec(delta=0.3, n=2)
         expected = 0.25 / (2 * df.sup_value(spec.flow) + 1.0)
         assert evolve.default_dt(spec) == expected
+
+
+class TestTraceOracle:
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("project", [False, True])
+    @pytest.mark.parametrize("sample_every", [1, 7])
+    def test_matches_field_level_reference(self, rng, n, project, sample_every):
+        # ABC flow with j != 0 and a start that is not solenoidal, so the
+        # drift column and the projection both do real work.
+        spec = _abc_spec(delta=0.5, j=(0.1, -0.05, 0.045), eps=0.6, n=n)
+        h0 = df.random_complex_field(n, rng=rng)
+        run = evolve.evolve(spec, h0, t_end=0.6, dt=0.03, sample_every=sample_every, project=project)
+        ref, final = evolve_reference(spec, h0, 0.6, 0.03, sample_every=sample_every, project=project)
+        assert len(run.trace.t) == len(ref.t) == (21 if sample_every == 1 else 4)
+        np.testing.assert_allclose(run.trace.t, ref.t, rtol=1e-12)
+        np.testing.assert_allclose(run.trace.norm, ref.norm, rtol=1e-12)
+        # a slack is 1 - value/bound and reads 0 at t = 0, so it is
+        # compared through the ratio value/bound
+        for col in ("slack_growth_bound", "slack_energy_estimate"):
+            np.testing.assert_allclose(1.0 - getattr(run.trace, col), 1.0 - getattr(ref, col), rtol=1e-12)
+        assert ref.div_drift[0] > 0.1
+        if project:
+            np.testing.assert_allclose(run.trace.div_drift[0], ref.div_drift[0], rtol=1e-12)
+            np.testing.assert_allclose(run.trace.div_drift[1:], ref.div_drift[1:], rtol=0, atol=1e-15)
+        else:
+            np.testing.assert_allclose(run.trace.div_drift, ref.div_drift, rtol=1e-12)
+        np.testing.assert_allclose(run.final_state.coeffs, final.coeffs, rtol=1e-12)
+
+    def test_no_per_step_lattice_or_field_work(self, monkeypatch):
+        # Lattice maps and fields are built once per run: the number of
+        # wavevector grids and SpectralField constructions inside evolve
+        # must not grow with the number of steps.
+        spec = _abc_spec(n=2)
+        h0 = df.random_complex_field(2, rng=np.random.default_rng(3))
+        counts = {"wavevectors": 0, "fields": 0}
+        wavevectors, post_init = df.wavevectors, df.SpectralField.__post_init__
+
+        def counting_wavevectors(*args, **kwargs):
+            counts["wavevectors"] += 1
+            return wavevectors(*args, **kwargs)
+
+        def counting_post_init(self):
+            counts["fields"] += 1
+            post_init(self)
+
+        monkeypatch.setattr(df, "wavevectors", counting_wavevectors)
+        monkeypatch.setattr(df.SpectralField, "__post_init__", counting_post_init)
+
+        def counted(steps):
+            counts.update(wavevectors=0, fields=0)
+            evolve.evolve(spec, h0, t_end=steps * 0.01, dt=0.01, project=True)
+            return dict(counts)
+
+        few, many = counted(10), counted(1000)
+        assert few["wavevectors"] > 0 and few["fields"] > 0
+        assert few == many

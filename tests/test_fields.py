@@ -163,6 +163,13 @@ class TestCross:
         assert capped.truncation == 2
         assert_allclose(capped.coeffs, df.resize(full, 2).coeffs, atol=1e-14)
 
+    def test_resize_round_trip(self, rng):
+        f = df.random_complex_field(2, rng)
+        assert df.resize(f, 2) is f  # immutable, so no copy is made
+        padded = df.resize(f, 3)
+        assert padded.truncation == 3
+        assert_allclose(df.resize(padded, 2).coeffs, f.coeffs, rtol=0, atol=0)
+
     def test_antisymmetry_with_self(self, rng):
         f = df.random_real_field(2, rng)
         assert df.cross(f, f).l2() < 1e-13 * f.l2() ** 2
