@@ -84,6 +84,8 @@ def solve_cell_problem(
     once the increment falls below tol relative to the data.  Both paths use
     the same truncation, hence converge to the same corrector.
     """
+    if not (tol > 0.0 and math.isfinite(tol)):
+        raise ConfigError(f"cell-problem tolerance must be positive and finite, got {tol}")
     v = np.asarray(v, dtype=np.complex128).reshape(3)
     n = _default_truncation(flow) if truncation is None else int(truncation)
     if n < flow.truncation:
@@ -328,6 +330,8 @@ def instability_scan(
     simplicity margin above the threshold; an empty certification is a
     valid negative result.
     """
+    if not math.isfinite(threshold):
+        raise ConfigError(f"instability threshold must be finite, got {threshold}")
     dirs = icosphere_directions() if directions is None else np.asarray(directions, dtype=float)
     if dirs.ndim != 2 or dirs.shape[1] != 3 or len(dirs) == 0:
         raise ConfigError("directions must be a nonempty (m, 3) array")

@@ -18,6 +18,13 @@ two frequencies k_a + j_a on that axis, so the mass is a quadratic form in
 the Kronecker product of three small per-axis Dirichlet matrices, one row
 per (distinct node coordinate, mode) pair.  This keeps huge radii (R in
 the hundreds) exact and cheap, where grid quadrature would be hopeless.
+The constant-envelope band has closed forms too: each axis of its box mass
+is an integral of (2 sin(Jx)/x)^2, times cos(2 j*_a x) for the cross term of
+the paired band, and both reduce to cosines and sine integrals.
+
+Band data are the leading eigenpairs at every node of a box; the nodes
+share one flow and truncation, so the modal stencil pattern is built once
+and each node only fills in its shift and diffusivity.
 """
 
 from __future__ import annotations
@@ -26,7 +33,6 @@ import math
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
-import scipy.integrate
 from scipy.special import sici
 
 from . import fields as df
@@ -258,19 +264,12 @@ class ConstantBand:
         return 8.0 * (self.half_width * si - math.sin(jr) ** 2 / r)
 
     def _axis_cross(self, r: float, omega: float) -> float:
-        # int_{-R}^{R} (2 sin(Jx)/x)^2 cos(omega x) dx
-        if abs(omega) < 1e-14:
-            return self._axis_mass(r)
-        j = self.half_width
-
-        def envelope(x):
-            return (2.0 * j * np.sinc(j * x / np.pi)) ** 2
-
-        cycles = int(10 + r * abs(omega) / np.pi)
-        val, _ = scipy.integrate.quad(
-            envelope, 0.0, r, weight="cos", wvar=omega, limit=max(200, 2 * cycles)
-        )
-        return 2.0 * val
+        # int_{-R}^{R} (2 sin(Jx)/x)^2 cos(omega x) dx = 8 int_0^R sin^2(Jx) cos(omega x)/x^2 dx, and
+        # sin^2(Jx) cos(wx) = cos(wx)/2 - cos((2J+w)x)/4 - cos((2J-w)x)/4 has weights summing to
+        # zero, so the antiderivative -cos(ax)/x - |a| Si(|a| x) of each cos(ax)/x^2 vanishes at 0
+        a = np.abs([omega, 2.0 * self.half_width + omega, 2.0 * self.half_width - omega])
+        terms = -np.cos(a * r) / r - a * sici(a * r)[0]
+        return 8.0 * float(0.5 * terms[0] - 0.25 * terms[1] - 0.25 * terms[2])
 
     def box_mass(self, radii) -> np.ndarray:
         radii = _check_radii(radii)

@@ -17,6 +17,7 @@ evaluation, and the snapshot file format.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -54,7 +55,8 @@ class SpectralField:
     """Dense coefficient block over the cubic lattice, shape (2N+1,)*3 + (3,).
 
     Index ``i`` along each mode axis corresponds to wavenumber ``i - N``.
-    Instances are immutable; every operation returns a new field.
+    Instances are immutable; every operation returns a new field.  They
+    hash by identity, so a field can key a cache of data derived from it.
     """
 
     coeffs: np.ndarray
@@ -170,11 +172,18 @@ def const_field(v, n: int = 0, scale: float = 1.0) -> SpectralField:
     return SpectralField(c, kind=kind, scale=scale)
 
 
+@functools.lru_cache(maxsize=16)
 def wavevectors(n: int, scale: float = 1.0) -> np.ndarray:
-    """Physical wavevector grid, shape (2n+1, 2n+1, 2n+1, 3)."""
+    """Physical wavevector grid, shape (2n+1, 2n+1, 2n+1, 3).
+
+    Read-only and shared: every operator, residual and divergence at one
+    truncation asks for the same grid.
+    """
     r = mode_range(n).astype(float) / scale
     k1, k2, k3 = np.meshgrid(r, r, r, indexing="ij")
-    return np.stack([k1, k2, k3], axis=-1)
+    kv = np.stack([k1, k2, k3], axis=-1)
+    kv.flags.writeable = False
+    return kv
 
 
 def make_abc(params: AbcParams, n: int = 1) -> SpectralField:

@@ -12,15 +12,17 @@ three-dimensional kernel spanned by v + S(v) with S the cell corrector
 with |j| at rates given by the alpha matrix.
 
 This module builds the Galerkin matrix of L on the cubic mode lattice as
-one sparse stencil over the flow's nonzero modes.  The dense matrix (capped
-at DENSE_CAP, for test oracles), the cell solve in alpha and the time
-stepper in evolve all come from it; ``apply_modal`` is an independent
-matrix-free FFT apply kept as the reference.  On top sit the eigensolver,
-shift-invert Arnoldi on a sparse LU of the stencil, contour (Riesz)
-projectors with certified idempotency, an argument-principle eigenvalue
-count, first-order perturbation checks, continuation of an eigenpair in
-eps, and the quantitative projector comparison bound used to certify rank
-stability.
+one sparse stencil over the flow's nonzero modes.  Its pattern, the CSR
+indices with the flow's cross-product blocks, depends only on the flow and
+the truncation; it is built once and each (j, eps) fills in the values.
+The dense matrix (capped at DENSE_CAP, for test oracles), the cell solve
+in alpha and the time stepper in evolve all come from it; ``apply_modal``
+is an independent matrix-free FFT apply kept as the reference.  On top
+sit the eigensolver, shift-invert Arnoldi on a sparse LU of the stencil,
+contour (Riesz) projectors with certified idempotency, an
+argument-principle eigenvalue count, first-order perturbation checks,
+continuation of an eigenpair in eps, and the quantitative projector
+comparison bound used to certify rank stability.
 
 Every contour quadrature solves with sparse LU factors of mu I - L, made
 once per (operator, node) and reused across node doublings, repeated
@@ -31,6 +33,7 @@ comparison bound takes exact 2-norms by Lanczos on the same factors.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field, replace
@@ -38,7 +41,6 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
-from scipy.optimize import linear_sum_assignment
 
 from . import fields as df
 from .errors import (
@@ -118,38 +120,84 @@ def _cross_matrix(w: np.ndarray) -> np.ndarray:
     return out
 
 
-def _stencil(flow: df.SpectralField, n: int, left: np.ndarray, diag: np.ndarray) -> sp.csr_array:
-    """Sparse matrix with diagonal diag plus blocks left(k) . [U(d)]_x at (row k, col k - d).
+class _Pattern:
+    """Sparsity of the stencil of one flow at one truncation, in CSR order.
 
-    Only the flow's nonzero modes d contribute, so a row holds at most
-    3 x (number of modes) + 1 entries whatever the truncation n.
+    The stencil puts the diagonal at every row and the block
+    left(k) . [U(d)]_x at (row k, col k - d) for every nonzero flow mode d,
+    so a row holds at most 3 x (number of modes) + 1 entries whatever the
+    truncation.  The pattern keeps the lattice row k and the matrix
+    [U(d)]_x of every block, and the permutation from the entry order
+    (diagonal, then the blocks mode by mode) to CSR order; ``fill`` only
+    multiplies the blocks.
     """
-    side = 2 * n + 1
-    left = np.broadcast_to(left, (side, side, side, 3, 3)).reshape(-1, 3, 3)
-    idx = np.arange(side)
-    axis3 = np.arange(3)
-    rows, cols, vals = [np.arange(diag.size)], [np.arange(diag.size)], [diag]
-    for d in itertools.product(df.mode_range(flow.truncation), repeat=3):
-        ud = flow.coeff(d)
-        if not np.any(ud):
-            continue
-        r1, r2, r3 = (idx[max(0, di): side + min(0, di)] for di in d)
-        rr = ((r1[:, None, None] * side + r2[None, :, None]) * side + r3[None, None, :]).reshape(-1)
-        cc = rr - (d[0] * side + d[1]) * side - d[2]
-        blocks = left[rr] @ _cross_matrix(ud)
-        rows.append(np.broadcast_to((3 * rr)[:, None, None] + axis3[:, None], blocks.shape).reshape(-1))
-        cols.append(np.broadcast_to((3 * cc)[:, None, None] + axis3, blocks.shape).reshape(-1))
-        vals.append(blocks.reshape(-1))
-    rows, cols, vals = (np.concatenate(x) for x in (rows, cols, vals))
-    keep = vals != 0
-    return sp.coo_array((vals[keep], (rows[keep], cols[keep])), shape=(diag.size, diag.size)).tocsr()
+
+    def __init__(self, flow: df.SpectralField, n: int):
+        self.side = side = 2 * n + 1
+        size = 3 * side**3
+        idx = np.arange(side)
+        axis3 = np.arange(3)
+        lattice, crosses = [np.zeros(0, dtype=int)], [np.zeros((0, 3, 3), dtype=np.complex128)]
+        rows, cols = [np.arange(size)], [np.arange(size)]
+        for d in itertools.product(df.mode_range(flow.truncation), repeat=3):
+            ud = flow.coeff(d)
+            if not np.any(ud):
+                continue
+            r1, r2, r3 = (idx[max(0, di): side + min(0, di)] for di in d)
+            rr = ((r1[:, None, None] * side + r2[None, :, None]) * side + r3[None, None, :]).reshape(-1)
+            cc = rr - (d[0] * side + d[1]) * side - d[2]
+            shape = (rr.size, 3, 3)
+            lattice.append(rr)
+            crosses.append(np.broadcast_to(_cross_matrix(ud), shape))
+            rows.append(np.broadcast_to((3 * rr)[:, None, None] + axis3[:, None], shape).reshape(-1))
+            cols.append(np.broadcast_to((3 * cc)[:, None, None] + axis3, shape).reshape(-1))
+        self.lattice = np.concatenate(lattice)
+        self.crosses = np.concatenate(crosses)
+        rows, cols = np.concatenate(rows), np.concatenate(cols)
+        self.order = np.lexsort((cols, rows))
+        rows, cols = rows[self.order], cols[self.order]
+        self.indices = cols
+        self.indptr = np.searchsorted(rows, np.arange(size + 1))
+        # a mean-free flow may still carry a tiny U(0), whose block lands on the diagonal
+        self.duplicates = bool(np.any((np.diff(rows) == 0) & (np.diff(cols) == 0)))
+
+    def fill(self, left: np.ndarray, diag: np.ndarray) -> sp.csr_array:
+        """Sparse matrix with diagonal diag plus blocks left(k) . [U(d)]_x.
+
+        ``left`` broadcasts to one 3 x 3 matrix per lattice mode.  Exact
+        zeros are dropped, so a node with a zero shift component stores
+        fewer entries than the pattern holds.
+        """
+        left = np.broadcast_to(left, (self.side,) * 3 + (3, 3)).reshape(-1, 3, 3)
+        blocks = left[self.lattice] @ self.crosses
+        data = np.concatenate((diag, blocks.reshape(-1)))[self.order]
+        indices, indptr = self.indices, self.indptr
+        keep = data != 0
+        if not keep.all():
+            data, indices = data[keep], indices[keep]
+            indptr = np.concatenate(([0], np.cumsum(keep)))[indptr]
+        out = sp.csr_array((data, indices, indptr), shape=(diag.size, diag.size))
+        if self.duplicates:
+            out.sum_duplicates()
+        return out
+
+
+@functools.lru_cache(maxsize=4)
+def _pattern(flow: df.SpectralField, n: int) -> _Pattern:
+    """The stencil pattern of (flow, n), kept for the few pairs used last.
+
+    Fields are immutable and hash by identity, so the flow object itself
+    is the key: the nodes of a band, the grid points of a continuation and
+    the cell solves of one flow all share one pattern.
+    """
+    return _Pattern(flow, n)
 
 
 def _operator(spec: ModalOperatorSpec) -> sp.csr_array:
     """Sparse Galerkin matrix of L on the flattened coefficient vector."""
     kappa = spec.shifted_wavevectors()
     diag = np.repeat(-spec.eps * np.sum(kappa * kappa, axis=-1).reshape(-1), 3).astype(np.complex128)
-    return _stencil(spec.flow, spec.truncation, _cross_matrix(1j * kappa), diag)
+    return _pattern(spec.flow, spec.truncation).fill(_cross_matrix(1j * kappa), diag)
 
 
 def assemble_dense(spec: ModalOperatorSpec) -> np.ndarray:
@@ -528,6 +576,12 @@ class FirstOrderReport:
     per_branch_slopes: np.ndarray
 
 
+def _min_cost_permutation(cost: np.ndarray) -> list[int]:
+    """The assignment row i -> column perm[i] of least total cost, by trying every permutation."""
+    rows = range(len(cost))
+    return list(min(itertools.permutations(rows), key=lambda perm: sum(cost[i, perm[i]] for i in rows)))
+
+
 def first_order_check(
     flow: df.SpectralField,
     j_direction,
@@ -559,9 +613,8 @@ def first_order_check(
         # matching on the bare linear term is ambiguous once |j|^2
         # dominates the eigenvalue spacing
         cost = np.abs(ps[:, None] - (m * mu[None, :] - m * m))
-        rows, cols = linear_sum_assignment(cost)
         matched = np.empty(3, dtype=np.complex128)
-        matched[cols] = ps[rows]
+        matched[_min_cost_permutation(cost)] = ps
         eigs[i] = matched
         rem[i] = np.abs(matched - m * mu)
     worst = np.max(rem, axis=1)

@@ -1,9 +1,11 @@
 """Slow reference implementations used only as test oracles."""
 
+import itertools
 import math
 
 import numpy as np
 import scipy.linalg as la
+import scipy.sparse as sp
 
 import dynamo.fields as df
 import dynamo.modal as dm
@@ -45,7 +47,37 @@ def assemble_slope_generator(flow: df.SpectralField, j_direction, n: int) -> np.
     if dim > dm.DENSE_CAP:
         raise TooLarge(f"dense assembly of dimension {dim} exceeds the cap {dm.DENSE_CAP}")
     diag = np.repeat(-2.0 * np.sum(df.wavevectors(n) * jhat, axis=-1).reshape(-1), 3).astype(np.complex128)
-    return dm._stencil(flow, n, dm._cross_matrix(1j * jhat), diag).toarray()
+    return dm._pattern(flow, n).fill(dm._cross_matrix(1j * jhat), diag).toarray()
+
+
+def stencil_oracle(flow: df.SpectralField, n: int, left: np.ndarray, diag: np.ndarray) -> sp.csr_array:
+    """The stencil assembled mode by mode through COO: diag plus blocks left(k) . [U(d)]_x at (row k, col k - d)."""
+    side = 2 * n + 1
+    left = np.broadcast_to(left, (side, side, side, 3, 3)).reshape(-1, 3, 3)
+    idx = np.arange(side)
+    axis3 = np.arange(3)
+    rows, cols, vals = [np.arange(diag.size)], [np.arange(diag.size)], [diag]
+    for d in itertools.product(df.mode_range(flow.truncation), repeat=3):
+        ud = flow.coeff(d)
+        if not np.any(ud):
+            continue
+        r1, r2, r3 = (idx[max(0, di): side + min(0, di)] for di in d)
+        rr = ((r1[:, None, None] * side + r2[None, :, None]) * side + r3[None, None, :]).reshape(-1)
+        cc = rr - (d[0] * side + d[1]) * side - d[2]
+        blocks = left[rr] @ dm._cross_matrix(ud)
+        rows.append(np.broadcast_to((3 * rr)[:, None, None] + axis3[:, None], blocks.shape).reshape(-1))
+        cols.append(np.broadcast_to((3 * cc)[:, None, None] + axis3, blocks.shape).reshape(-1))
+        vals.append(blocks.reshape(-1))
+    rows, cols, vals = (np.concatenate(x) for x in (rows, cols, vals))
+    keep = vals != 0
+    return sp.coo_array((vals[keep], (rows[keep], cols[keep])), shape=(diag.size, diag.size)).tocsr()
+
+
+def operator_oracle(spec: dm.ModalOperatorSpec) -> sp.csr_array:
+    """``modal._operator`` through ``stencil_oracle``."""
+    kappa = spec.shifted_wavevectors()
+    diag = np.repeat(-spec.eps * np.sum(kappa * kappa, axis=-1).reshape(-1), 3).astype(np.complex128)
+    return stencil_oracle(spec.flow, spec.truncation, dm._cross_matrix(1j * kappa), diag)
 
 
 def kernel_basis(flow: df.SpectralField, n: int, tol: float = 1e-12) -> list[df.SpectralField]:

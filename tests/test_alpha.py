@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 import dynamo.fields as df
 import dynamo.alpha as da
-from dynamo.errors import SeriesDiverges, UndefinedDirection
+from dynamo.errors import ConfigError, SeriesDiverges, UndefinedDirection
 
 DELTA0 = 0.05
 
@@ -64,6 +64,16 @@ class TestCellProblem:
     def test_truncation_below_flow_support_rejected(self):
         with pytest.raises(Exception):
             da.solve_cell_problem(small_abc(), [1, 0, 0], truncation=0)
+
+    @pytest.mark.parametrize("tol", [float("nan"), float("inf"), 0.0, -1e-12])
+    @pytest.mark.parametrize("method", ["direct", "neumann"])
+    def test_invalid_tolerance_rejected(self, tol, method):
+        # a NaN tolerance would also switch off the direct solve's residual check
+        for flow in (small_abc(), df.zero_field(1)):
+            with pytest.raises(ConfigError, match="tolerance"):
+                da.solve_cell_problem(flow, [1, 0, 0], method=method, tol=tol, truncation=2)
+        with pytest.raises(ConfigError, match="tolerance"):
+            da.mean_emf_matrix(small_abc(), truncation=2, tol=tol, method=method)
 
 
 class TestFirstOrderMatrix:
@@ -191,6 +201,13 @@ class TestInstabilityScan:
     def test_empty_directions_rejected(self):
         with pytest.raises(Exception):
             da.instability_scan(small_abc(), directions=np.zeros((0, 3)))
+
+    @pytest.mark.parametrize("kwargs", [{"threshold": float("nan")}, {"threshold": float("inf")},
+                                        {"threshold": -float("inf")}, {"tol": float("nan")}, {"tol": 0.0}])
+    def test_non_finite_threshold_and_bad_tolerance_rejected(self, kwargs):
+        # w.real > nan is False, so a NaN threshold silently withheld the certificate
+        with pytest.raises(ConfigError):
+            da.instability_scan(small_abc(), directions=da.axis_directions(), truncation=2, **kwargs)
 
 
 def test_recommended_amplitude_scales_inversely():

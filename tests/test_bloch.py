@@ -326,6 +326,24 @@ class TestConstantBand:
             )
             assert band._axis_mass(r) == pytest.approx(2.0 * ref, rel=1e-10)
 
+    @pytest.mark.parametrize("half_width", [0.05, 0.1])
+    def test_axis_cross_against_quadrature(self, half_width):
+        band = bloch.ConstantBand(np.ones(3), np.array([0.5, 0.4, 0.3]), half_width)
+
+        def envelope(x):
+            return (2.0 * half_width * np.sinc(half_width * x / np.pi)) ** 2
+
+        # omega = 0 is the axis mass, omega = 2J makes one cosine constant
+        for omega in (0.0, 2.0 * half_width, 0.3, -0.6, 1.0):
+            for r in (7.0, 40.0, 90.0, 400.0):
+                if omega == 0.0:
+                    ref, _ = scipy.integrate.quad(envelope, 0.0, r, limit=400)
+                else:
+                    ref, _ = scipy.integrate.quad(envelope, 0.0, r, weight="cos", wvar=omega,
+                                                  limit=max(200, int(20 + 2 * r * abs(omega) / np.pi)))
+                err = abs(band._axis_cross(r, omega) - 2.0 * ref)
+                assert err <= 1e-12 * band._axis_mass(r), (omega, r)
+
     def test_mass_approaches_total(self):
         band = bloch.ConstantBand(
             np.array([1.0, 0.5j, -0.25]), np.array([0.5, 0.4, 0.3]), 0.1

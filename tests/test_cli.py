@@ -1,6 +1,10 @@
 """End-to-end command-line runs, in process via cli.main()."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -74,6 +78,20 @@ class TestAlphaScan:
         assert rep["best_eigenvalue"]["re"] > 1e-4
         header = (out / "scan.csv").read_text().splitlines()[0]
         assert header.startswith("d1,d2,d3,mu1_re")
+
+    @pytest.mark.parametrize("flags", [["--threshold", "nan"], ["--threshold", "inf"], ["--tol", "nan"],
+                                       ["--tol", "0"], ["--tol=-1e-12"]])
+    def test_invalid_threshold_or_tolerance_exits_2(self, tmp_path, flags):
+        code, out, _ = run(["alpha", "scan", "--abc", "1,1,1", "--delta0", "0.05",
+                            "--directions", "axes"] + flags, tmp_path)
+        assert code == 2
+        assert not (out / "scan.csv").exists()
+
+    def test_alpha_matrix_nan_tolerance_exits_2(self, tmp_path):
+        code, out, _ = run(["alpha", "matrix", "--abc", "1,1,1", "--delta0", "0.05",
+                            "--j", "1,0,0", "--tol", "nan"], tmp_path)
+        assert code == 2
+        assert not (out / "eigenvalues.csv").exists()
 
 
 class TestFieldMakeAbc:
@@ -263,6 +281,16 @@ class TestGlue:
         assert code2 == 0
         assert manifest2["report"]["passed"] is False
         assert "hypothesis-floor" in manifest2["report"]["failures"]
+
+
+def test_cli_import_skips_scipy_optimize_and_integrate():
+    # the toolkit needs neither, and each adds to the start-up time of every CLI run
+    src = str(Path(dynamo.__file__).resolve().parents[1])
+    code = ("import sys, dynamo.cli; "
+            "print([m for m in sys.modules if m.startswith(('scipy.optimize', 'scipy.integrate'))])")
+    out = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
+                         capture_output=True, text=True, timeout=120, check=True)
+    assert out.stdout.strip() == "[]"
 
 
 class TestConfigAndEnvironment:

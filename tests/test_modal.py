@@ -16,7 +16,7 @@ from dynamo.errors import (
     SolverFailure,
     TooLarge,
 )
-from support import assemble_slope_generator, dense_eigenvalues, kernel_basis
+from support import assemble_slope_generator, dense_eigenvalues, kernel_basis, operator_oracle, stencil_oracle
 
 DELTA0 = 0.05
 
@@ -126,6 +126,67 @@ class TestDenseAssembly:
     def test_vec_field_roundtrip(self):
         h = random_complex(2, 9)
         assert (dm.vec_to_field(dm.field_to_vec(h), 2) - h).l2() == 0.0
+
+
+def assert_same_csr(got, want):
+    """Bit identity of two CSR matrices: values, index arrays and their dtypes."""
+    for name in ("data", "indices", "indptr"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype, name
+        assert a.tobytes() == b.tobytes(), name
+
+
+def workload_like_specs(seed):
+    """Workload-like ABC flow at shifts 0, a modal j, (0, 0.1, 0) and an axis band centre; N = 1..3, eps 1 and 0.9."""
+    rng = np.random.default_rng(seed)
+    u = df.make_abc(df.AbcParams(*rng.uniform(0.27, 0.33, 3)))
+    j = rng.standard_normal(3)
+    j *= rng.uniform(0.035, 0.05) / np.linalg.norm(j)
+    centre = np.zeros(3)
+    centre[rng.integers(3)] = rng.choice((-1.0, 1.0)) * rng.uniform(0.1, 0.12)
+    for n in (1, 2, 3):
+        for shift in (np.zeros(3), j, np.array([0.0, 0.1, 0.0]), centre):
+            for eps in (1.0, 0.9):
+                yield dm.ModalOperatorSpec(u, shift, eps, n)
+
+
+class TestStencilPattern:
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_operator_bit_identical_to_oracle(self, seed):
+        for spec in workload_like_specs(seed):
+            assert_same_csr(dm._operator(spec), operator_oracle(spec))
+
+    def test_wide_support_and_degenerate_flows(self):
+        rng = np.random.default_rng(5)
+        wide = df.random_real_field(2, rng, div_free=True, amplitude=0.2)
+        # a mean-free flow may keep a tiny U(0), whose block shares the diagonal
+        c = np.array(small_abc(0.3).coeffs)
+        c[1, 1, 1] = [1e-14, 0.0, 0.0]
+        for flow in (wide, df.zero_field(1), df.SpectralField(c)):
+            for n in (2, 3):
+                for j in (np.zeros(3), np.array([0.03, -0.02, 0.05])):
+                    spec = dm.ModalOperatorSpec(flow, j, 0.7, n)
+                    assert_same_csr(dm._operator(spec), operator_oracle(spec))
+        # one left matrix for every mode, as the slope generator passes it
+        left = dm._cross_matrix(1j * np.array([0.0, 0.6, 0.8]))
+        diag = rng.standard_normal(3 * 5**3) + 0j
+        assert_same_csr(dm._pattern(wide, 2).fill(left, diag), stencil_oracle(wide, 2, left, diag))
+
+    def test_band_nodes_share_one_pattern(self, monkeypatch):
+        built = []
+
+        class Counted(dm._Pattern):
+            def __init__(self, flow, n):
+                built.append(n)
+                super().__init__(flow, n)
+
+        monkeypatch.setattr(dm, "_Pattern", Counted)
+        dm._pattern.cache_clear()
+        nodes, _ = bloch.gauss_legendre_box(np.array([0.11, 0.0, 0.0]), 0.1, 4)
+        bloch.prepare_band_pairs(small_abc(0.3), nodes, 1.0, 1)
+        dm._pattern.cache_clear()
+        assert len(nodes) == 64
+        assert built == [1]
 
 
 class TestLeadingEigs:
@@ -387,6 +448,15 @@ class TestFirstOrderCheck:
     def test_nondecreasing_magnitudes_rejected(self):
         with pytest.raises(ConfigError):
             dm.first_order_check(small_abc(), [0, 0, 1], [0.005, 0.01], truncation=1)
+
+    def test_branch_matching_is_the_optimal_assignment(self):
+        from scipy.optimize import linear_sum_assignment
+
+        rng = np.random.default_rng(12)
+        for _ in range(200):
+            cost = rng.random((3, 3))
+            rows, cols = linear_sum_assignment(cost)
+            assert dm._min_cost_permutation(cost) == list(cols[np.argsort(rows)])
 
 
 class TestContinuation:
