@@ -171,11 +171,14 @@ class _Pattern:
         left = np.broadcast_to(left, (self.side,) * 3 + (3, 3)).reshape(-1, 3, 3)
         blocks = left[self.lattice] @ self.crosses
         data = np.concatenate((diag, blocks.reshape(-1)))[self.order]
-        indices, indptr = self.indices, self.indptr
         keep = data != 0
-        if not keep.all():
-            data, indices = data[keep], indices[keep]
-            indptr = np.concatenate(([0], np.cumsum(keep)))[indptr]
+        if keep.all():
+            # the matrix owns its index arrays: sum_duplicates, or any caller,
+            # compacting them in place must not reach the cached pattern
+            indices, indptr = self.indices.copy(), self.indptr.copy()
+        else:
+            data, indices = data[keep], self.indices[keep]
+            indptr = np.concatenate(([0], np.cumsum(keep)))[self.indptr]
         out = sp.csr_array((data, indices, indptr), shape=(diag.size, diag.size))
         if self.duplicates:
             out.sum_duplicates()

@@ -172,6 +172,25 @@ class TestStencilPattern:
         diag = rng.standard_normal(3 * 5**3) + 0j
         assert_same_csr(dm._pattern(wide, 2).fill(left, diag), stencil_oracle(wide, 2, left, diag))
 
+    def test_repeated_fills_with_no_dropped_entry_and_a_tiny_mean(self):
+        # no zero flow component and a shift with no zero component: every
+        # entry is kept, and U(0) makes the diagonal slots duplicates
+        c = np.array(df.random_real_field(2, np.random.default_rng(8), div_free=True, amplitude=0.2).coeffs)
+        c[np.any(c == 0, axis=-1)] = 0.0  # the Leray projection zeroes a component of every axis mode
+        c[2, 2, 2] = 1e-13 * np.ones(3)
+        flow = df.SpectralField(c)
+        modes = c[np.any(c != 0, axis=-1)]
+        assert len(modes) > 60 and np.all(modes != 0)
+        dm._pattern.cache_clear()
+        for j in (np.array([0.03, -0.02, 0.05]), np.array([0.03, -0.02, 0.05]), np.array([-0.07, 0.04, 0.01])):
+            spec = dm.ModalOperatorSpec(flow, j, 0.7, 2)
+            got = dm._operator(spec)
+            assert_same_csr(got, operator_oracle(spec))
+            pattern = dm._pattern(flow, 2)
+            assert not np.shares_memory(got.indices, pattern.indices)
+            assert not np.shares_memory(got.indptr, pattern.indptr)
+        dm._pattern.cache_clear()
+
     def test_band_nodes_share_one_pattern(self, monkeypatch):
         built = []
 
