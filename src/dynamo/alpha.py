@@ -9,6 +9,10 @@ and the alpha matrix in direction jhat acts by
 
     A v = i jhat x mean(U x S(v)).
 
+The corrector is one direct sparse solve on the modal stencil, with its
+residual taken on the same matrix; the small-flow Neumann series for S is
+kept in the test-suite as an independent oracle.
+
 A flow is alpha-unstable when some direction produces a simple eigenvalue
 of A with positive real part; the scan below certifies this over a finite
 direction sample.  For ABC flows the first-order electromotive matrix is
@@ -27,7 +31,7 @@ import scipy.sparse.linalg as spla
 
 from . import fields as df
 from . import modal
-from .errors import ConfigError, SeriesDiverges, SolverFailure, UndefinedDirection
+from .errors import ConfigError, SolverFailure, UndefinedDirection
 
 DEFAULT_TOL = 1e-12
 
@@ -56,33 +60,21 @@ class CellSolution:
     input_v: np.ndarray
     field: df.SpectralField
     residual: float
-    method: str
-    iterations: int = 0
-    contraction: float | None = None
-
-
-def _cell_residual(flow: df.SpectralField, s: df.SpectralField, data: df.SpectralField) -> float:
-    spec = modal.ModalOperatorSpec(flow, np.zeros(3), 1.0, s.truncation)
-    r = modal.apply_modal(spec, s) - df.resize(data, s.truncation)
-    return r.l2() / max(data.l2(), 1e-300)
 
 
 def solve_cell_problem(
     flow: df.SpectralField,
     v,
-    method: str = "direct",
     tol: float = DEFAULT_TOL,
     truncation: int | None = None,
-    max_iter: int = 400,
 ) -> CellSolution:
     """Mean-free solution of Delta S + curl(U x S) = curl(v x U).
 
-    method='direct' solves the truncated Galerkin system restricted to the
-    nonzero modes (where the operator is invertible) by sparse LU;
-    method='neumann' iterates the small-flow series S = Delta^{-1} sum_m w_m
-    with w_0 = data and w_{m+1} = -P_N curl(U x Delta^{-1} w_m), stopping
-    once the increment falls below tol relative to the data.  Both paths use
-    the same truncation, hence converge to the same corrector.
+    Solves the truncated Galerkin system restricted to the nonzero modes
+    (where the operator is invertible) by sparse LU.  The residual
+    ||A x - b|| / ||b|| is taken on the full stencil matrix A, whose
+    zero-mode rows vanish as does the data there, and a residual above
+    max(10 tol, 1e-11) raises.
     """
     if not (tol > 0.0 and math.isfinite(tol)):
         raise ConfigError(f"cell-problem tolerance must be positive and finite, got {tol}")
@@ -93,49 +85,22 @@ def solve_cell_problem(
     data = _cell_data(flow, v)
     dnorm = data.l2()
     if dnorm == 0.0:
-        return CellSolution(v, df.zero_field(n, kind=data.kind), 0.0, method)
+        return CellSolution(v, df.zero_field(n, kind=data.kind), 0.0)
 
-    if method == "direct":
-        a = modal._operator(modal.ModalOperatorSpec(flow, np.zeros(3), 1.0, n))
-        side = 2 * n + 1
-        zero_flat = (n * side + n) * side + n
-        keep = np.setdiff1d(np.arange(3 * side**3), 3 * zero_flat + np.arange(3))
-        rhs = modal.field_to_vec(df.resize(data, n))
-        sol = np.zeros_like(rhs)
-        try:
-            sol[keep] = spla.splu(a[keep][:, keep].tocsc()).solve(rhs[keep])
-        except RuntimeError as exc:
-            raise SolverFailure(f"singular Galerkin cell system at truncation {n}") from exc
-        s = modal.vec_to_field(sol, n, kind=data.kind)
-        res = _cell_residual(flow, s, data)
-        if res > max(10.0 * tol, 1e-11):
-            raise SolverFailure(f"direct cell solve residual {res:.2e} exceeds tolerance")
-        return CellSolution(v, s, res, method)
-
-    if method != "neumann":
-        raise ConfigError(f"unknown cell-problem method {method!r}")
-
-    w = df.resize(data, n)
-    total = w
-    prev = dnorm
-    worst_ratio = 0.0
-    for it in range(1, max_iter + 1):
-        w = -df.curl(df.cross(flow, df.inv_laplacian(w), cap=n))
-        nw = w.l2()
-        ratio = nw / prev
-        worst_ratio = max(worst_ratio, ratio)
-        if ratio >= 1.0:
-            raise SeriesDiverges(
-                f"Neumann series not contracting (measured factor {ratio:.3f} at step {it})"
-            )
-        total = total + w
-        if nw <= tol * dnorm:
-            break
-        prev = nw
-    else:
-        raise SolverFailure(f"Neumann series below contraction 1 but not at tol after {max_iter} steps")
-    s = df.inv_laplacian(total)
-    return CellSolution(v, s, _cell_residual(flow, s, data), method, iterations=it, contraction=worst_ratio)
+    a = modal._operator(modal.ModalOperatorSpec(flow, np.zeros(3), 1.0, n))
+    side = 2 * n + 1
+    zero_flat = (n * side + n) * side + n
+    keep = np.setdiff1d(np.arange(3 * side**3), 3 * zero_flat + np.arange(3))
+    rhs = modal.field_to_vec(df.resize(data, n))
+    sol = np.zeros_like(rhs)
+    try:
+        sol[keep] = spla.splu(a[keep][:, keep].tocsc()).solve(rhs[keep])
+    except RuntimeError as exc:
+        raise SolverFailure(f"singular Galerkin cell system at truncation {n}") from exc
+    res = float(np.linalg.norm(a @ sol - rhs)) / dnorm
+    if res > max(10.0 * tol, 1e-11):
+        raise SolverFailure(f"direct cell solve residual {res:.2e} exceeds tolerance")
+    return CellSolution(v, modal.vec_to_field(sol, n, kind=data.kind), res)
 
 
 # ---------------------------------------------------------------------------
@@ -172,7 +137,6 @@ def mean_emf_matrix(
     flow: df.SpectralField,
     truncation: int | None = None,
     tol: float = DEFAULT_TOL,
-    method: str = "direct",
 ) -> tuple[np.ndarray, float]:
     """Columns mean(U x S(e_l)); the direction-independent part of A."""
     m = np.zeros((3, 3), dtype=np.complex128)
@@ -180,7 +144,7 @@ def mean_emf_matrix(
     for axis in range(3):
         e = np.zeros(3)
         e[axis] = 1.0
-        sol = solve_cell_problem(flow, e, method=method, tol=tol, truncation=truncation)
+        sol = solve_cell_problem(flow, e, tol=tol, truncation=truncation)
         m[:, axis] = df.mean_vector(df.cross(flow, sol.field))
         worst = max(worst, sol.residual)
     return m, worst
@@ -205,11 +169,10 @@ def alpha_matrix(
     j,
     truncation: int | None = None,
     tol: float = DEFAULT_TOL,
-    method: str = "direct",
 ) -> AlphaMatrix:
     """A(U, j) v = i (j/|j|) x mean(U x S(v)); depends on j only through its direction."""
     jhat = unit_direction(j)
-    emf, worst = mean_emf_matrix(flow, truncation=truncation, tol=tol, method=method)
+    emf, worst = mean_emf_matrix(flow, truncation=truncation, tol=tol)
     return alpha_matrix_from_emf(emf, jhat, max_residual=worst)
 
 
@@ -320,7 +283,6 @@ def instability_scan(
     threshold: float = 1e-8,
     truncation: int | None = None,
     tol: float = DEFAULT_TOL,
-    method: str = "direct",
 ) -> ScanReport:
     """Evaluate A(U, j) over a direction sample and certify instability.
 
@@ -335,7 +297,7 @@ def instability_scan(
     dirs = icosphere_directions() if directions is None else np.asarray(directions, dtype=float)
     if dirs.ndim != 2 or dirs.shape[1] != 3 or len(dirs) == 0:
         raise ConfigError("directions must be a nonempty (m, 3) array")
-    emf, worst = mean_emf_matrix(flow, truncation=truncation, tol=tol, method=method)
+    emf, worst = mean_emf_matrix(flow, truncation=truncation, tol=tol)
     rows = []
     best = None
     for d in dirs:

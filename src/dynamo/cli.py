@@ -549,6 +549,8 @@ def main(argv: list[str] | None = None) -> int:
     try:
         _apply_config_file(parser, argv)
         args = parser.parse_args(argv)
+        if not isinstance(args.seed, int) or args.seed < 0:
+            raise ConfigError(f"seed must be a non-negative integer, got {args.seed!r}")
         outdir = _resolve_outdir(args)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -80,8 +80,8 @@ class TailModel:
     def __post_init__(self):
         if self.coefficient <= 0.0 or not np.isfinite(self.coefficient):
             raise ConfigError("tail coefficient must be positive and finite")
-        if self.valid_from <= 0.0:
-            raise ConfigError("calibration range must start at a positive radius")
+        if not (self.valid_from > 0.0 and np.isfinite(self.valid_from)):
+            raise ConfigError("calibration range must start at a positive finite radius")
 
     def tail_fraction(self, radius: float) -> float:
         if radius <= 0.0:

@@ -15,9 +15,10 @@ This module builds the Galerkin matrix of L on the cubic mode lattice as
 one sparse stencil over the flow's nonzero modes.  Its pattern, the CSR
 indices with the flow's cross-product blocks, depends only on the flow and
 the truncation; it is built once and each (j, eps) fills in the values.
-The dense matrix (capped at DENSE_CAP, for test oracles), the cell solve
-in alpha and the time stepper in evolve all come from it; ``apply_modal``
-is an independent matrix-free FFT apply kept as the reference.  On top
+The dense matrix (capped at DENSE_CAP, for test oracles), every residual,
+the cell solve in alpha and the time stepper in evolve all come from it;
+``apply_modal``, an independent matrix-free FFT apply, is the reference
+for oracles only and no production path calls it.  On top
 sit the eigensolver, shift-invert Arnoldi on a sparse LU of the stencil,
 contour (Riesz) projectors with certified idempotency, an
 argument-principle eigenvalue count, first-order perturbation checks,
@@ -68,6 +69,8 @@ class ModalOperatorSpec:
     def __post_init__(self):
         j = np.asarray(self.j, dtype=float).reshape(3)
         object.__setattr__(self, "j", j)
+        if not np.all(np.isfinite(j)):
+            raise ConfigError(f"shift j must be finite, got {j}")
         if not (self.eps > 0.0 and math.isfinite(self.eps)):
             raise ConfigError(f"diffusivity must be positive, got {self.eps}")
         if self.truncation < self.flow.truncation:
@@ -97,7 +100,7 @@ def vec_to_field(x: np.ndarray, n: int, kind: str = "complex") -> df.SpectralFie
 
 
 def apply_modal(spec: ModalOperatorSpec, h: df.SpectralField) -> df.SpectralField:
-    """Matrix-free application of L via one dealiased product."""
+    """Matrix-free application of L via one dealiased product: the stencil's reference, for oracles only."""
     if h.truncation != spec.truncation:
         h = df.resize(h, spec.truncation)
     kappa = spec.shifted_wavevectors()
@@ -227,7 +230,7 @@ class EigPair:
 
     p: complex
     field: df.SpectralField
-    residual: float
+    residual: float                  # ||L v - p v|| / ||v|| on the truncated stencil
     modal_div_residual: float
 
 
@@ -253,17 +256,14 @@ def fix_phase(f: df.SpectralField) -> df.SpectralField:
     return f * (np.abs(anchor) / (anchor * nrm))
 
 
-def eig_residual(spec: ModalOperatorSpec, p: complex, h: df.SpectralField) -> float:
-    r = apply_modal(spec, h) - p * h
-    return r.l2() / max(h.l2(), 1e-300)
-
-
-def _make_pair(spec: ModalOperatorSpec, p: complex, h: df.SpectralField) -> EigPair:
+def _make_pair(matrix: sp.sparray, spec: ModalOperatorSpec, p: complex, h: df.SpectralField) -> EigPair:
+    """Phase-fixed pair with the Galerkin residual ||L v - p v|| / ||v|| on the stencil ``matrix``."""
     h = fix_phase(h)
+    v = h.coeffs.reshape(-1)
     return EigPair(
         p=complex(p),
         field=h,
-        residual=eig_residual(spec, p, h),
+        residual=float(np.linalg.norm(matrix @ v - p * v)) / max(h.l2(), 1e-300),
         modal_div_residual=df.divergence_rel(h, shift=spec.j),
     )
 
@@ -295,7 +295,7 @@ def leading_eigs(
     except RuntimeError as exc:  # pragma: no cover - no convergence, or sigma exactly singular
         raise EigsFailed(f"shift-invert Arnoldi failed: {exc}") from exc
     order = eig_order(vals)
-    return [_make_pair(spec, vals[i], vec_to_field(vecs[:, i], spec.truncation)) for i in order]
+    return [_make_pair(op, spec, vals[i], vec_to_field(vecs[:, i], spec.truncation)) for i in order]
 
 
 # ---------------------------------------------------------------------------
@@ -707,7 +707,7 @@ def continue_in_eps(
         h = fix_phase(vec_to_field(y, truncation))
         hv = field_to_vec(h)
         p_new = complex(np.vdot(hv, res.matrix @ hv) / np.vdot(hv, hv))
-        pair = _make_pair(spec, p_new, h)
+        pair = _make_pair(res.matrix, spec, p_new, h)
         if pair.residual > residual_tol or p_new.real < floor:
             step *= 0.5
             continue

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg as la
@@ -11,7 +12,7 @@ import dynamo.fields as df
 import dynamo.modal as dm
 from dynamo import alpha
 from dynamo import evolve as ev
-from dynamo.errors import TooLarge
+from dynamo.errors import ConfigError, SeriesDiverges, SolverFailure, TooLarge
 
 
 def convolve_oracle(f: df.SpectralField, g: df.SpectralField) -> df.SpectralField:
@@ -80,13 +81,82 @@ def operator_oracle(spec: dm.ModalOperatorSpec) -> sp.csr_array:
     return stencil_oracle(spec.flow, spec.truncation, dm._cross_matrix(1j * kappa), diag)
 
 
+def fft_residual(spec: dm.ModalOperatorSpec, h: df.SpectralField, p: complex = 0.0,
+                 rhs: df.SpectralField | None = None) -> float:
+    """||L h - p h - rhs|| relative to ||rhs||, or to ||h|| without one, with L by the FFT ``apply_modal``.
+
+    The eigenpair residual is ``fft_residual(spec, h, p)`` and the cell
+    residual ``fft_residual(spec, s, rhs=data)``, computed independently of
+    the stencil.
+    """
+    r = dm.apply_modal(spec, h) - p * df.resize(h, spec.truncation)
+    if rhs is None:
+        return r.l2() / max(h.l2(), 1e-300)
+    return (r - df.resize(rhs, spec.truncation)).l2() / max(rhs.l2(), 1e-300)
+
+
+@dataclass(frozen=True, eq=False)
+class SeriesSolution:
+    """Corrector from the Neumann series with its residual, step count and worst contraction."""
+
+    field: df.SpectralField
+    residual: float
+    iterations: int = 0
+    contraction: float | None = None
+
+
+def neumann_cell_solve(flow: df.SpectralField, v, tol: float = alpha.DEFAULT_TOL,
+                       truncation: int | None = None, max_iter: int = 400) -> SeriesSolution:
+    """The cell corrector from the small-flow series, an oracle for ``alpha.solve_cell_problem``.
+
+    Iterates S = Delta^{-1} sum_m w_m with w_0 = data and
+    w_{m+1} = -P_N curl(U x Delta^{-1} w_m), stopping once the increment
+    falls below tol relative to the data; every product is an FFT product,
+    so nothing is shared with the stencil.  At the same truncation it
+    converges to the same corrector as the direct solve.
+    """
+    if not (tol > 0.0 and math.isfinite(tol)):
+        raise ConfigError(f"cell-problem tolerance must be positive and finite, got {tol}")
+    v = np.asarray(v, dtype=np.complex128).reshape(3)
+    n = alpha._default_truncation(flow) if truncation is None else int(truncation)
+    if n < flow.truncation:
+        raise ConfigError("cell-problem truncation cannot be smaller than the flow's support")
+    data = alpha._cell_data(flow, v)
+    dnorm = data.l2()
+    if dnorm == 0.0:
+        return SeriesSolution(df.zero_field(n, kind=data.kind), 0.0)
+
+    w = df.resize(data, n)
+    total = w
+    prev = dnorm
+    worst_ratio = 0.0
+    for it in range(1, max_iter + 1):
+        w = -df.curl(df.cross(flow, df.inv_laplacian(w), cap=n))
+        nw = w.l2()
+        ratio = nw / prev
+        worst_ratio = max(worst_ratio, ratio)
+        if ratio >= 1.0:
+            raise SeriesDiverges(
+                f"Neumann series not contracting (measured factor {ratio:.3f} at step {it})"
+            )
+        total = total + w
+        if nw <= tol * dnorm:
+            break
+        prev = nw
+    else:
+        raise SolverFailure(f"Neumann series below contraction 1 but not at tol after {max_iter} steps")
+    s = df.inv_laplacian(total)
+    spec = dm.ModalOperatorSpec(flow, np.zeros(3), 1.0, n)
+    return SeriesSolution(s, fft_residual(spec, s, rhs=data), iterations=it, contraction=worst_ratio)
+
+
 def kernel_basis(flow: df.SpectralField, n: int, tol: float = 1e-12) -> list[df.SpectralField]:
     """Basis v + S(v) of the kernel of the j = 0, eps = 1 operator."""
     basis = []
     for axis in range(3):
         v = np.zeros(3)
         v[axis] = 1.0
-        sol = alpha.solve_cell_problem(flow, v, method="direct", tol=tol, truncation=n)
+        sol = alpha.solve_cell_problem(flow, v, tol=tol, truncation=n)
         basis.append(df.const_field(v) + sol.field)
     return basis
 

@@ -15,6 +15,7 @@ from dynamo import alpha, bloch
 from dynamo import evolve as ev
 from dynamo import fields as df
 from dynamo import glue, modal
+from support import neumann_cell_solve
 
 # evolution runs executed by this module, shared with the energy-bound gate
 _RUNS: dict[str, ev.EvolutionRun] = {}
@@ -242,10 +243,8 @@ def test_10_matrix_free_and_series_oracles_agree():
         worst = max(worst, np.linalg.norm(lhs - rhs) / np.linalg.norm(rhs))
     small = df.make_abc(df.AbcParams(0.25, 0.25, 0.25))
     tol = 1e-12
-    sd = alpha.solve_cell_problem(small, [1, 0, 0], method="direct",
-                                  tol=tol, truncation=3)
-    sn = alpha.solve_cell_problem(small, [1, 0, 0], method="neumann",
-                                  tol=tol, truncation=3)
+    sd = alpha.solve_cell_problem(small, [1, 0, 0], tol=tol, truncation=3)
+    sn = neumann_cell_solve(small, [1, 0, 0], tol=tol, truncation=3)
     diff = (sd.field - sn.field).l2()
     _verdict(
         10, "matrix-free apply and series solve match their dense oracles",

@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 import dynamo.fields as df
 import dynamo.alpha as da
 from dynamo.errors import ConfigError, SeriesDiverges, UndefinedDirection
+from support import fft_residual, neumann_cell_solve
 
 DELTA0 = 0.05
 
@@ -19,22 +20,22 @@ def small_abc(d0=DELTA0):
 class TestCellProblem:
     def test_zero_flow_gives_zero_corrector(self):
         zero = df.zero_field(1)
-        for method in ("direct", "neumann"):
-            sol = da.solve_cell_problem(zero, [1.0, -2.0, 0.5], method=method)
+        for solve in (da.solve_cell_problem, neumann_cell_solve):
+            sol = solve(zero, [1.0, -2.0, 0.5])
             assert sol.field.l2() == 0.0
             assert sol.residual == 0.0
 
     def test_direct_vs_neumann_agreement(self):
-        # cross-method oracle: both solve the same truncated system
+        # oracle: the series solves the same truncated system by FFT products
         u = small_abc()
-        s1 = da.solve_cell_problem(u, [1, 0, 0], method="direct", tol=1e-12, truncation=3)
-        s2 = da.solve_cell_problem(u, [1, 0, 0], method="neumann", tol=1e-12, truncation=3)
+        s1 = da.solve_cell_problem(u, [1, 0, 0], tol=1e-12, truncation=3)
+        s2 = neumann_cell_solve(u, [1, 0, 0], tol=1e-12, truncation=3)
         assert s2.contraction < 0.5
         assert (s1.field - s2.field).l2() < 1e-10
 
     def test_residual_reported_and_small(self):
         u = small_abc()
-        sol = da.solve_cell_problem(u, [0, 1, 0], method="direct", truncation=2)
+        sol = da.solve_cell_problem(u, [0, 1, 0], truncation=2)
         assert sol.residual < 1e-12
         # independent recomputation of the defining equation
         import dynamo.modal as dm
@@ -44,6 +45,18 @@ class TestCellProblem:
         r = dm.apply_modal(spec, sol.field) - df.resize(data, 2)
         assert r.l2() <= 1e-12 * data.l2() * 10
 
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_residual_matches_fft_recomputation(self, n):
+        import dynamo.modal as dm
+
+        rng = np.random.default_rng(n)
+        u = df.make_abc(df.AbcParams(*rng.uniform(0.27, 0.33, 3)))
+        spec = dm.ModalOperatorSpec(u, np.zeros(3), 1.0, n)
+        for v in ([1, 0, 0], [0, 1, 0], [0, 0, 1], rng.standard_normal(3)):
+            sol = da.solve_cell_problem(u, v, truncation=n)
+            data = df.curl(df.cross(df.const_field(v), u))
+            assert abs(sol.residual - fft_residual(spec, sol.field, rhs=data)) <= 1e-15
+
     def test_corrector_is_mean_free(self):
         sol = da.solve_cell_problem(small_abc(), [1, 1, 1], truncation=2)
         assert np.linalg.norm(df.mean_vector(sol.field)) < 1e-14
@@ -51,7 +64,7 @@ class TestCellProblem:
     def test_one_term_series_dominates_at_tiny_amplitude(self):
         d0 = 0.01
         u = small_abc(d0)
-        sol = da.solve_cell_problem(u, [0, 0, 1], method="direct", truncation=2)
+        sol = da.solve_cell_problem(u, [0, 0, 1], truncation=2)
         first = df.inv_laplacian(df.curl(df.cross(df.const_field([0, 0, 1]), u)))
         rel = (sol.field - df.resize(first, 2)).l2() / first.l2()
         assert rel < 5 * d0  # higher-order terms are O(d0) relative
@@ -59,7 +72,7 @@ class TestCellProblem:
     def test_neumann_divergence_raises(self):
         big = df.make_abc(df.AbcParams(40.0, 40.0, 40.0))
         with pytest.raises(SeriesDiverges):
-            da.solve_cell_problem(big, [1, 0, 0], method="neumann", truncation=2)
+            neumann_cell_solve(big, [1, 0, 0], truncation=2)
 
     def test_truncation_below_flow_support_rejected(self):
         with pytest.raises(Exception):
@@ -68,12 +81,14 @@ class TestCellProblem:
     @pytest.mark.parametrize("tol", [float("nan"), float("inf"), 0.0, -1e-12])
     @pytest.mark.parametrize("method", ["direct", "neumann"])
     def test_invalid_tolerance_rejected(self, tol, method):
-        # a NaN tolerance would also switch off the direct solve's residual check
+        # a NaN tolerance would also switch off the direct solve's residual
+        # check; the series oracle guards its own stopping rule the same way
+        solve = {"direct": da.solve_cell_problem, "neumann": neumann_cell_solve}[method]
         for flow in (small_abc(), df.zero_field(1)):
             with pytest.raises(ConfigError, match="tolerance"):
-                da.solve_cell_problem(flow, [1, 0, 0], method=method, tol=tol, truncation=2)
+                solve(flow, [1, 0, 0], tol=tol, truncation=2)
         with pytest.raises(ConfigError, match="tolerance"):
-            da.mean_emf_matrix(small_abc(), truncation=2, tol=tol, method=method)
+            da.mean_emf_matrix(small_abc(), truncation=2, tol=tol)
 
 
 class TestFirstOrderMatrix:

@@ -269,6 +269,15 @@ class TestGlue:
         header = (out2 / "checks.csv").read_text().splitlines()[0]
         assert header == "name,kind,measured,bound,margin,passed"
 
+    @pytest.mark.parametrize("valid_from", ["nan", "inf", "0"])
+    def test_invalid_tail_valid_from_exits_2(self, tmp_path, valid_from):
+        code, out, _ = run(
+            ["glue", "build", "--abc", "0.3,0.3,0.3",
+             "--tail-coefficient", "12.2", "--tail-valid-from", valid_from,
+             "--ufrak", "10", "--n-max", "1", "--ell-max", "1"], tmp_path)
+        assert code == 2
+        assert not (out / "catalog.txt").exists()
+
     def test_failing_checks_still_exit_0(self, tmp_path):
         code, out, _ = run(
             ["glue", "build", "--abc", "0.3,0.3,0.3",
@@ -326,6 +335,22 @@ class TestConfigAndEnvironment:
         code = cli.main(["alpha", "matrix", "--abc", "1,1,1", "--j", "1,0,0",
                          "--config", str(cfg), "--out", str(tmp_path / "o")])
         assert code == 2
+
+    @pytest.mark.parametrize("args", [
+        ["spectrum", "eigs", "--abc", "1,1,1", "--delta0", "0.3", "--j", "0,0,0.045", "--truncation", "1"],
+        ["evolve", "--abc", "1,1,1", "--delta0", "0.3", "--j", "0,0,0.045", "--truncation", "1",
+         "--t-end", "1", "--init", "random"],
+    ])
+    def test_negative_or_non_integer_seed_exits_2(self, tmp_path, args):
+        code, out, manifest = run(args + ["--seed", "-1"], tmp_path, "flag")
+        assert code == 2
+        assert manifest is None
+        for seed in (-1, 1.5):
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps({"seed": seed}))
+            code, out, manifest = run(args + ["--config", str(cfg)], tmp_path, f"cfg{seed}")
+            assert code == 2
+            assert manifest is None
 
     def test_outdir_env_var(self, tmp_path, monkeypatch):
         monkeypatch.setenv(cli.OUTDIR_ENV, str(tmp_path / "env-out"))

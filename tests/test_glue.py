@@ -64,6 +64,11 @@ class TestTailModel:
         with pytest.raises(ConfigError):
             model.radius_for(0.0)
 
+    @pytest.mark.parametrize("valid_from", [float("nan"), float("inf"), 0.0, -1.0])
+    def test_valid_from_must_be_finite_and_positive(self, valid_from):
+        with pytest.raises(ConfigError, match="calibration range"):
+            glue.TailModel(coefficient=3.0, valid_from=valid_from)
+
     def test_calibration_against_band(self):
         band = bloch.ConstantBand(
             np.array([1.0, 0.5j, -0.25]), np.array([0.5, 0.4, 0.3]), 0.1
@@ -490,6 +495,18 @@ class TestCatalogIO:
         assert (d1 / "catalog.txt.stream").read_bytes() == (
             d2 / "catalog.txt.stream"
         ).read_bytes()
+
+    @pytest.mark.parametrize("valid_from", ["nan", "inf"])
+    def test_rejects_non_finite_tail_range(self, tmp_path, valid_from):
+        path = tmp_path / "catalog.txt"
+        glue.save_catalog(_moderate_catalog(), path)
+        lines = path.read_text().splitlines()
+        tail = [i for i, line in enumerate(lines) if line.startswith("tail ")]
+        assert len(tail) == 1
+        lines[tail[0]] = f"tail {lines[tail[0]].split()[1]} {valid_from}"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ConfigError, match="calibration range"):
+            glue.load_catalog(path)
 
     def test_rejects_foreign_and_truncated(self, tmp_path):
         bad = tmp_path / "bad.txt"

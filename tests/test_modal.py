@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 import dynamo.fields as df
 import dynamo.modal as dm
-from dynamo import bloch, cli
+from dynamo import alpha, bloch, cli
 from dynamo.errors import (
     BoundInapplicable,
     ConfigError,
@@ -16,7 +16,14 @@ from dynamo.errors import (
     SolverFailure,
     TooLarge,
 )
-from support import assemble_slope_generator, dense_eigenvalues, kernel_basis, operator_oracle, stencil_oracle
+from support import (
+    assemble_slope_generator,
+    dense_eigenvalues,
+    fft_residual,
+    kernel_basis,
+    operator_oracle,
+    stencil_oracle,
+)
 
 DELTA0 = 0.05
 
@@ -79,6 +86,14 @@ class TestApply:
         lhs = dm.apply_modal(spec, z * f + g)
         rhs = z * dm.apply_modal(spec, f) + dm.apply_modal(spec, g)
         assert (lhs - rhs).l2() < 1e-12 * max(lhs.l2(), 1.0)
+
+
+class TestSpecValidation:
+    @pytest.mark.parametrize("j", [[float("nan"), 0.0, 0.0], [0.0, float("inf"), 0.0], [0.0, 0.0, -float("inf")]])
+    def test_non_finite_shift_rejected(self, j):
+        # an input error, not an eigensolver or contour failure
+        with pytest.raises(ConfigError, match="shift"):
+            dm.ModalOperatorSpec(small_abc(), j, 1.0, 1)
 
 
 class TestDenseAssembly:
@@ -245,7 +260,22 @@ class TestLeadingEigs:
         oracle = dense_eigenvalues(spec)[:6]
         assert np.max(np.abs(np.array([t.p for t in top]) - oracle)) <= 1e-10
         for t in top:
-            assert dm.eig_residual(spec, t.p, t.field) <= 1e-10
+            assert fft_residual(spec, t.field, t.p) <= 1e-10
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_residual_matches_fft_recomputation(self, n):
+        # the stencil residual and the FFT one are the same Galerkin quantity
+        rng = np.random.default_rng(10 * n)
+        u = df.make_abc(df.AbcParams(*rng.uniform(0.27, 0.33, 3)))
+        j = rng.standard_normal(3)
+        j *= rng.uniform(0.035, 0.05) / np.linalg.norm(j)
+        spec = dm.ModalOperatorSpec(u, j, 1.0, n)
+        for t in dm.leading_eigs(spec, count=6):
+            assert abs(t.residual - fft_residual(spec, t.field, t.p)) <= 1e-15
+        res = dm.continue_in_eps(u, j, dm.leading_eigs(spec, count=1)[0], 0.9, n)
+        for eps, pair in res.path[1:]:
+            step = dm.ModalOperatorSpec(u, j, eps, n)
+            assert abs(pair.residual - fft_residual(step, pair.field, pair.p)) <= 1e-15
 
     def test_krylov_never_builds_a_dense_matrix(self, monkeypatch):
         spec = dm.ModalOperatorSpec(small_abc(0.3), np.array([0.0, 0.0, 0.045]), 1.0, 2)
@@ -258,7 +288,7 @@ class TestLeadingEigs:
         top = dm.leading_eigs(spec, count=3, sigma=0.05)
         for p, t in zip(oracle, top):
             assert abs(p - t.p) <= 1e-10
-            assert dm.eig_residual(spec, t.p, t.field) <= 1e-10
+            assert fft_residual(spec, t.field, t.p) <= 1e-10
 
     def test_conjugation_symmetry(self):
         u = small_abc()
@@ -443,6 +473,26 @@ def test_production_paths_use_no_dense_eigensolver(monkeypatch, tmp_path):
     assert dm.RieszProjector(dm.ModalOperatorSpec(u, np.zeros(3), 1.0, 1), dm.Contour(0.0, 0.5, 16)).rank_estimate == 3
     assert cli.main(["spectrum", "eigs", "--abc", "1,1,1", "--delta0", "0.3", "--j", "0,0,0.045",
                      "--truncation", "1", "--out", str(tmp_path / "eigs")]) == 0
+
+
+def test_production_paths_never_call_the_fft_apply(monkeypatch, tmp_path):
+    # the stencil is the one implementation of L: residuals included
+    def refuse(*args, **kwargs):
+        raise AssertionError("a production path called the FFT reference apply_modal")
+
+    monkeypatch.setattr(dm, "apply_modal", refuse)
+    u = small_abc(0.3)
+    j = np.array([0.0, 0.0, 0.045])
+    start = dm.leading_eigs(dm.ModalOperatorSpec(u, j, 1.0, 2), count=3)[0]
+    assert dm.continue_in_eps(u, j, start, 0.95, 2).window == pytest.approx(0.05)
+    assert len(bloch.prepare_band_pairs(u, [j, 1.1 * j], 1.0, 1)) == 2
+    assert alpha.solve_cell_problem(u, [1, 0, 0], truncation=2).residual < 1e-11
+    alpha.alpha_matrix(small_abc(), [0, 0, 1], truncation=2)
+    dm.first_order_check(small_abc(), [0, 0, 1], [0.01, 0.005], truncation=1)
+    assert cli.main(["spectrum", "eigs", "--abc", "1,1,1", "--delta0", "0.3", "--j", "0,0,0.045",
+                     "--truncation", "2", "--out", str(tmp_path / "eigs")]) == 0
+    assert cli.main(["alpha", "scan", "--abc", "1,1,1", "--delta0", "0.05", "--directions", "axes",
+                     "--truncation", "2", "--out", str(tmp_path / "scan")]) == 0
 
 
 class TestFirstOrderCheck:
