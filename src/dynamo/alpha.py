@@ -76,31 +76,46 @@ def solve_cell_problem(
     zero-mode rows vanish as does the data there, and a residual above
     max(10 tol, 1e-11) raises.
     """
+    return _solve_cells(flow, [v], tol, truncation)[0]
+
+
+def _solve_cells(flow: df.SpectralField, vs, tol: float, truncation: int | None) -> list:
+    """Cell solutions for several constant vectors from one factorization.
+
+    The vectors share the stencil and its LU; one multi-column solve gives
+    every corrector, and each column keeps its own residual gate.
+    """
     if not (tol > 0.0 and math.isfinite(tol)):
         raise ConfigError(f"cell-problem tolerance must be positive and finite, got {tol}")
-    v = np.asarray(v, dtype=np.complex128).reshape(3)
+    vs = [np.asarray(v, dtype=np.complex128).reshape(3) for v in vs]
     n = _default_truncation(flow) if truncation is None else int(truncation)
     if n < flow.truncation:
         raise ConfigError("cell-problem truncation cannot be smaller than the flow's support")
-    data = _cell_data(flow, v)
-    dnorm = data.l2()
-    if dnorm == 0.0:
-        return CellSolution(v, df.zero_field(n, kind=data.kind), 0.0)
+    data = [_cell_data(flow, v) for v in vs]
+    dnorms = [d.l2() for d in data]
+    sols = [CellSolution(v, df.zero_field(n, kind=d.kind), 0.0) for v, d in zip(vs, data)]
+    live = [i for i, dn in enumerate(dnorms) if dn != 0.0]
+    if not live:
+        return sols
 
     a = modal._operator(modal.ModalOperatorSpec(flow, np.zeros(3), 1.0, n))
     side = 2 * n + 1
     zero_flat = (n * side + n) * side + n
     keep = np.setdiff1d(np.arange(3 * side**3), 3 * zero_flat + np.arange(3))
-    rhs = modal.field_to_vec(df.resize(data, n))
+    rhs = np.stack([modal.field_to_vec(df.resize(data[i], n)) for i in live], axis=1)
     sol = np.zeros_like(rhs)
     try:
         sol[keep] = spla.splu(a[keep][:, keep].tocsc()).solve(rhs[keep])
     except RuntimeError as exc:
         raise SolverFailure(f"singular Galerkin cell system at truncation {n}") from exc
-    res = float(np.linalg.norm(a @ sol - rhs)) / dnorm
-    if res > max(10.0 * tol, 1e-11):
-        raise SolverFailure(f"direct cell solve residual {res:.2e} exceeds tolerance")
-    return CellSolution(v, modal.vec_to_field(sol, n, kind=data.kind), res)
+    for col, i in enumerate(live):
+        # contiguous copies keep each residual the one a single-vector solve reports
+        x, b = sol[:, col].copy(), rhs[:, col].copy()
+        res = float(np.linalg.norm(a @ x - b)) / dnorms[i]
+        if res > max(10.0 * tol, 1e-11):
+            raise SolverFailure(f"direct cell solve residual {res:.2e} exceeds tolerance")
+        sols[i] = CellSolution(vs[i], modal.vec_to_field(x, n, kind=data[i].kind), res)
+    return sols
 
 
 # ---------------------------------------------------------------------------
@@ -138,13 +153,13 @@ def mean_emf_matrix(
     truncation: int | None = None,
     tol: float = DEFAULT_TOL,
 ) -> tuple[np.ndarray, float]:
-    """Columns mean(U x S(e_l)); the direction-independent part of A."""
+    """Columns mean(U x S(e_l)); the direction-independent part of A.
+
+    The three correctors share one factorization of the cell stencil.
+    """
     m = np.zeros((3, 3), dtype=np.complex128)
     worst = 0.0
-    for axis in range(3):
-        e = np.zeros(3)
-        e[axis] = 1.0
-        sol = solve_cell_problem(flow, e, tol=tol, truncation=truncation)
+    for axis, sol in enumerate(_solve_cells(flow, np.eye(3), tol, truncation)):
         m[:, axis] = df.mean_vector(df.cross(flow, sol.field))
         worst = max(worst, sol.residual)
     return m, worst

@@ -46,8 +46,10 @@ from .errors import (
 )
 
 TWO_PI_CUBED = (2.0 * np.pi) ** 3
-# largest box-mass grid (complex entries, 64 MB) BlochFamily.box_mass allocates
+# largest grid (complex entries, 64 MB) BlochFamily.box_mass or a sampled volume allocates
 BOX_GRID_CAP = 4_000_000
+# bytes of one slab of a sampled volume that the slab-by-slab loops build at a time
+SLAB_BYTES = 1 << 18
 
 
 def scale_index(eps: float, zeta: float) -> int:
@@ -286,22 +288,27 @@ class ConstantBand:
         return out
 
     def synthesize(self, half_width: float, spacing: float) -> "SampledVolume":
+        """Sample F on the centered grid, one x-slab of the output at a time."""
         axis = volume_axis(half_width, spacing)
+        m = len(axis)
         j = self.half_width
         win = [2.0 * j * np.sinc(j * axis / np.pi) for _ in range(3)]
-        envelope = win[0][:, None, None] * win[1][None, :, None] * win[2][None, None, :]
-        phase = np.exp(
-            1j
-            * (
-                self.j_star[0] * axis[:, None, None]
-                + self.j_star[1] * axis[None, :, None]
-                + self.j_star[2] * axis[None, None, :]
+        out = np.empty((m, m, m, 3), dtype=np.complex128)
+        for s in _slabs(m):
+            envelope = win[0][s, None, None] * win[1][None, :, None] * win[2][None, None, :]
+            phase = np.exp(
+                1j
+                * (
+                    self.j_star[0] * axis[s, None, None]
+                    + self.j_star[1] * axis[None, :, None]
+                    + self.j_star[2] * axis[None, None, :]
+                )
             )
-        )
-        carrier = phase[..., None] * self.amplitude
-        if self.paired:
-            carrier = 2.0 * carrier.real
-        return SampledVolume(half_width, spacing, envelope[..., None] * carrier)
+            carrier = phase[..., None] * self.amplitude
+            if self.paired:
+                carrier = 2.0 * carrier.real
+            out[s] = envelope[..., None] * carrier
+        return SampledVolume(half_width, spacing, out)
 
 
 # ---------------------------------------------------------------------------
@@ -309,10 +316,23 @@ class ConstantBand:
 
 
 def volume_axis(half_width: float, spacing: float) -> np.ndarray:
+    """Centered sample positions; volumes above BOX_GRID_CAP entries raise TooLarge."""
     if not (0.0 < spacing <= half_width and math.isfinite(half_width)):
         raise ConfigError(f"need spacing > 0 and a finite half-width >= spacing, got {spacing}, {half_width}")
-    m2 = int(math.floor(half_width / spacing + 1e-9))
+    ratio = half_width / spacing + 1e-9  # overflows to inf for a tiny spacing
+    if not math.isfinite(ratio) or 3 * (2 * math.floor(ratio) + 1) ** 3 > BOX_GRID_CAP:
+        raise TooLarge(
+            f"a volume of half-width {half_width} at spacing {spacing} exceeds the cap of "
+            f"{BOX_GRID_CAP} entries; widen the spacing or shrink the half-width"
+        )
+    m2 = math.floor(ratio)
     return spacing * np.arange(-m2, m2 + 1)
+
+
+def _slabs(m: int):
+    """Slices of x-rows of an (m, m, m, 3) complex volume, about SLAB_BYTES each."""
+    rows = max(1, SLAB_BYTES // (m * m * 3 * 16))
+    return [slice(i, min(i + rows, m)) for i in range(0, m, rows)]
 
 
 @dataclass(frozen=True, eq=False)
@@ -341,11 +361,17 @@ class SampledVolume:
 
 
 def sampled_box_mass(vol: SampledVolume) -> float:
-    """Trapezoid quadrature of |F|^2 over the sampled cube (cross-check)."""
+    """Trapezoid quadrature of |F|^2 over the sampled cube (cross-check).
+
+    The density |F|^2 is filled one x-slab at a time, so the extra memory
+    is the real density (a sixth of the volume's bytes) plus one slab.
+    """
     m = vol.values.shape[0]
     w = np.full(m, vol.spacing)
     w[0] = w[-1] = 0.5 * vol.spacing
-    dens = np.sum(np.abs(vol.values) ** 2, axis=-1)
+    dens = np.empty((m, m, m))
+    for s in _slabs(m):
+        np.sum(np.abs(vol.values[s]) ** 2, axis=-1, out=dens[s])
     return float(np.einsum("pqr,p,q,r->", dens, w, w, w))
 
 
@@ -365,10 +391,10 @@ def save_volume(vol: SampledVolume, path) -> None:
             "",
         ]
     )
-    payload = np.ascontiguousarray(np.moveaxis(vol.values, -1, 0)).astype("<c16").tobytes()
     with open(path, "wb") as fh:
         fh.write(header.encode("ascii"))
-        fh.write(payload)
+        for c in range(3):
+            fh.write(np.ascontiguousarray(vol.values[..., c], dtype="<c16"))
 
 
 def load_volume(path) -> SampledVolume:
@@ -397,22 +423,28 @@ def synthesize(family, half_width: float, spacing: float) -> SampledVolume:
 
     Each node contributes through separable per-axis phase matrices
     e^{i (k_a + j_a) x}, so the cost is a few small tensor contractions
-    per node instead of a full lattice sum per sample.
+    per node instead of a full lattice sum per sample.  The output volume
+    is allocated once and the last contraction adds into it one x-slab at
+    a time, so memory stays near the output's own size (16 bytes per
+    complex sample, 3 per point); grids above BOX_GRID_CAP entries raise
+    TooLarge before anything is allocated.
     """
     if isinstance(family, ConstantBand):
         return family.synthesize(half_width, spacing)
     axis = volume_axis(half_width, spacing)
+    m = len(axis)
     n = family.truncation
     kvals = np.arange(-n, n + 1, dtype=float)
-    acc = 0.0
+    acc = np.zeros((m, m, m, 3), dtype=np.complex128)
+    slabs = _slabs(m)
     for w, j, g in zip(family.weights, family.j_nodes, family.fields):
         e1, e2, e3 = (
             np.exp(1j * np.outer(kvals + j[a], axis)) for a in range(3)
         )
         t = np.einsum("abcd,ax->xbcd", g.coeffs, e1)
         t = np.einsum("xbcd,by->xycd", t, e2)
-        t = np.einsum("xycd,cz->xyzd", t, e3)
-        acc = acc + w * t
+        for s in slabs:
+            acc[s] += w * np.einsum("xycd,cz->xyzd", t[s], e3)
     return SampledVolume(half_width, spacing, acc)
 
 

@@ -295,6 +295,7 @@ def _cmd_evolve(args, outdir: Path) -> dict:
 
 
 def _cmd_bloch_synth(args, outdir: Path) -> dict:
+    bloch.volume_axis(args.grid_half, args.grid_spacing)  # reject the grid before the eigensolves
     flow = _load_flow(args)
     family = _band_family(args, flow)
     _write_csv(

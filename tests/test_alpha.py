@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 import dynamo.fields as df
 import dynamo.alpha as da
-from dynamo.errors import ConfigError, SeriesDiverges, UndefinedDirection
+from dynamo.errors import ConfigError, SeriesDiverges, SolverFailure, UndefinedDirection
 from support import fft_residual, neumann_cell_solve
 
 DELTA0 = 0.05
@@ -89,6 +89,40 @@ class TestCellProblem:
                 solve(flow, [1, 0, 0], tol=tol, truncation=2)
         with pytest.raises(ConfigError, match="tolerance"):
             da.mean_emf_matrix(small_abc(), truncation=2, tol=tol)
+
+    def test_mean_emf_matrix_shares_one_factorization(self, monkeypatch):
+        u = df.make_abc(df.AbcParams(0.31, 0.27, 0.3))
+        cols = [da.solve_cell_problem(u, e, truncation=3) for e in np.eye(3)]
+        want = np.stack([df.mean_vector(df.cross(u, s.field)) for s in cols], axis=1)
+        calls = []
+        splu = da.spla.splu
+
+        def counted(*args, **kwargs):
+            calls.append(kwargs)
+            return splu(*args, **kwargs)
+
+        monkeypatch.setattr(da.spla, "splu", counted)
+        emf, worst = da.mean_emf_matrix(u, truncation=3)
+        assert calls == [{}]  # one factorization, in splu's default ordering
+        assert np.array_equal(emf, want)
+        assert worst == max(s.residual for s in cols)
+
+    def test_mean_emf_matrix_gates_each_column(self, monkeypatch):
+        # a spoiled middle column must trip the residual gate on its own
+        splu = da.spla.splu
+
+        class Spoiled:
+            def __init__(self, lu):
+                self.lu = lu
+
+            def solve(self, b):
+                x = self.lu.solve(b)
+                x[:, 1] *= 1.0 + 1e-6
+                return x
+
+        monkeypatch.setattr(da.spla, "splu", lambda *a, **k: Spoiled(splu(*a, **k)))
+        with pytest.raises(SolverFailure, match="residual"):
+            da.mean_emf_matrix(small_abc(), truncation=2)
 
 
 class TestFirstOrderMatrix:

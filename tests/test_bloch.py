@@ -1,6 +1,8 @@
 """Band synthesis, box-mass bookkeeping, and concentration tests."""
 
 import math
+import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -209,6 +211,74 @@ class TestSynthesize:
     def test_paired_synthesis_is_real(self):
         vol = bloch.synthesize(_small_datum(), 3.0, 0.5)
         assert np.max(np.abs(vol.values.imag)) <= 1e-8 * np.max(np.abs(vol.values))
+
+    def test_grid_above_the_cap_raises_before_allocating(self, monkeypatch):
+        # 200001^3 x 3 samples would need terabytes; refuse from the axis alone
+        def refuse(*args, **kwargs):
+            raise AssertionError("allocated a volume above the cap")
+
+        monkeypatch.setattr(bloch.np, "arange", refuse)
+        for half, spacing in ((10000.0, 0.1), (55.0, 1.0), (1e10, 1e-300)):
+            with pytest.raises(TooLarge):
+                bloch.volume_axis(half, spacing)
+        monkeypatch.undo()
+        # 109^3 x 3 is the largest odd grid under the cap
+        assert len(bloch.volume_axis(54.0, 1.0)) == 109
+        with pytest.raises(TooLarge):
+            bloch.synthesize(_small_datum(), 10000.0, 0.1)
+
+    def test_slab_size_does_not_change_the_volume(self, rng, monkeypatch):
+        nodes = rng.uniform(-0.5, 0.5, size=(3, 3))
+        fam = bloch.BlochFamily(nodes, rng.uniform(0.2, 0.6, size=3),
+                                [df.random_complex_field(2, rng=rng) for _ in range(3)])
+        band = bloch.ConstantBand(np.array([1.0, 0.5j, -0.25]), np.array([0.5, 0.4, 0.3]), 0.1)
+        runs = []
+        for slab in (1, 300_000, 1 << 40):  # one row, three rows, the whole volume
+            monkeypatch.setattr(bloch, "SLAB_BYTES", slab)
+            a, b = bloch.synthesize(fam, 2.0, 0.1), band.synthesize(2.0, 0.1)
+            runs.append((a.values, b.values, bloch.sampled_box_mass(a), bloch.sampled_box_mass(b)))
+        for run in runs[1:]:
+            assert np.array_equal(run[0], runs[0][0]) and np.array_equal(run[1], runs[0][1])
+            assert run[2:] == runs[0][2:]
+
+
+def _traced_peak(fn):
+    """Result of fn() and the peak bytes it allocated above what was live before."""
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        out = fn()
+        return out, tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+class TestVolumeMemory:
+    """Synthesis builds one output-sized volume; the sampled mass adds a sixth of it."""
+
+    def _family(self, rng):
+        nodes = rng.uniform(-0.5, 0.5, size=(3, 3))
+        return bloch.BlochFamily(nodes, rng.uniform(0.2, 0.6, size=3),
+                                 [df.random_complex_field(1, rng=rng) for _ in range(3)])
+
+    def test_family_synthesis_peak(self, rng):
+        vol, peak = _traced_peak(lambda: bloch.synthesize(self._family(rng), 3.0, 0.1))
+        assert vol.values.shape == (61, 61, 61, 3)
+        assert peak <= 1.25 * vol.values.nbytes + 2**20
+
+    @pytest.mark.parametrize("paired", [True, False])
+    def test_constant_band_synthesis_peak(self, paired):
+        band = bloch.ConstantBand(np.array([1.0, 0.5j, -0.25]), np.array([0.5, 0.4, 0.3]), 0.1,
+                                  paired=paired)
+        vol, peak = _traced_peak(lambda: band.synthesize(3.0, 0.1))
+        assert vol.values.dtype == np.complex128
+        assert peak <= 1.25 * vol.values.nbytes + 2**20
+
+    def test_sampled_box_mass_peak(self, rng):
+        vol = bloch.synthesize(self._family(rng), 3.0, 0.1)
+        _, peak = _traced_peak(lambda: bloch.sampled_box_mass(vol))
+        assert peak <= 0.25 * vol.values.nbytes
 
 
 class TestBoxMass:
@@ -538,6 +608,22 @@ class TestVolumeIO:
         assert back.half_width == vol.half_width
         assert back.spacing == vol.spacing
         assert np.array_equal(back.values, vol.values)
+
+    def test_file_layout(self, rng, tmp_path):
+        # independent encoding: ASCII header, then every sample of component
+        # 0 in C order as little-endian (re, im) doubles, then 1, then 2
+        m = 3
+        vals = rng.standard_normal((m, m, m, 3)) + 1j * rng.standard_normal((m, m, m, 3))
+        path = tmp_path / "vol.bin"
+        bloch.save_volume(bloch.SampledVolume(1.5, 0.75, vals), path)
+        header = (f"sampled-volume 1\nm {m}\nhalf_width {(1.5).hex()}\n"
+                  f"spacing {(0.75).hex()}\ncomponents 3\ndata\n").encode("ascii")
+        payload = b"".join(
+            struct.pack("<dd", z.real, z.imag)
+            for c in range(3) for i in range(m) for j in range(m) for k in range(m)
+            for z in [vals[i, j, k, c]]
+        )
+        assert path.read_bytes() == header + payload
 
     def test_rejects_foreign_and_truncated_files(self, tmp_path):
         path = tmp_path / "junk.bin"

@@ -216,13 +216,20 @@ class TestBloch:
 
     @pytest.mark.parametrize("grid", [["--grid-half", "nan", "--grid-spacing", "0.5"],
                                       ["--grid-half", "2", "--grid-spacing", "nan"],
-                                      ["--grid-half", "inf", "--grid-spacing", "0.5"]])
-    def test_non_finite_grid_exits_2(self, tmp_path, grid):
-        code, out, _ = run(
+                                      ["--grid-half", "inf", "--grid-spacing", "0.5"],
+                                      # 200001^3 samples: over the volume cap
+                                      ["--grid-half", "10000", "--grid-spacing", "0.1"]])
+    def test_non_finite_grid_exits_2(self, tmp_path, grid, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("band eigensolves ran before the grid was checked")
+
+        monkeypatch.setattr(cli, "_band_family", refuse)
+        code, out, manifest = run(
             ["bloch", "synth", "--abc", "1,1,1", "--delta0", "0.3",
              "--j-star", "0,0,0.1", "--half-width", "0.1",
              "--truncation", "1", "--nodes-per-axis", "2"] + grid, tmp_path)
         assert code == 2
+        assert manifest is None
         assert not (out / "volume.vol").exists()
 
     def test_synth_writes_volume(self, tmp_path):
