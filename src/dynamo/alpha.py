@@ -167,7 +167,7 @@ def mean_emf_matrix(
 
 def alpha_matrix_from_emf(emf: np.ndarray, j, max_residual: float = 0.0) -> AlphaMatrix:
     jhat = unit_direction(j)
-    a = 1j * modal._cross_matrix(jhat) @ emf
+    a = 1j * df._cross_matrix(jhat) @ emf
     w, v = _sorted_eig(a)
     return AlphaMatrix(
         matrix=a,

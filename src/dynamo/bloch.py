@@ -379,43 +379,16 @@ _VOL_MAGIC = "sampled-volume 1"
 
 
 def save_volume(vol: SampledVolume, path) -> None:
-    """Text header, then component-major little-endian complex samples."""
-    header = "\n".join(
-        [
-            _VOL_MAGIC,
-            f"m {vol.values.shape[0]}",
-            f"half_width {float(vol.half_width).hex()}",
-            f"spacing {float(vol.spacing).hex()}",
-            "components 3",
-            "data",
-            "",
-        ]
-    )
-    with open(path, "wb") as fh:
-        fh.write(header.encode("ascii"))
-        for c in range(3):
-            fh.write(np.ascontiguousarray(vol.values[..., c], dtype="<c16"))
+    """The field snapshot's layout: side m and hex-float geometry, then component-major samples."""
+    meta = {"m": vol.values.shape[0], "half_width": float(vol.half_width).hex(),
+            "spacing": float(vol.spacing).hex()}
+    df._write_snapshot(path, _VOL_MAGIC, meta, vol.values)
 
 
 def load_volume(path) -> SampledVolume:
-    with open(path, "rb") as fh:
-        blob = fh.read()
-    marker = b"data\n"
-    split = blob.find(marker)
-    if split < 0 or not blob.startswith(_VOL_MAGIC.encode("ascii")):
-        raise ConfigError(f"{path}: not a sampled-volume snapshot")
-    head = blob[:split].decode("ascii").splitlines()
-    meta = dict(line.split(None, 1) for line in head[1:] if line.strip())
-    m = int(meta["m"])
-    if int(meta["components"]) != 3:
-        raise ConfigError(f"{path}: expected 3 components")
-    raw = np.frombuffer(blob[split + len(marker):], dtype="<c16")
-    if raw.size != 3 * m**3:
-        raise ConfigError(f"{path}: payload holds {raw.size} values, expected {3 * m**3}")
-    values = np.moveaxis(raw.reshape(3, m, m, m), 0, -1)
-    return SampledVolume(
-        float.fromhex(meta["half_width"]), float.fromhex(meta["spacing"]), values
-    )
+    parse = {"m": int, "half_width": float.fromhex, "spacing": float.fromhex}
+    meta, values = df._read_snapshot(path, _VOL_MAGIC, parse, lambda m: m["m"])
+    return SampledVolume(meta["half_width"], meta["spacing"], values)
 
 
 def synthesize(family, half_width: float, spacing: float) -> SampledVolume:
@@ -601,9 +574,8 @@ def widest_stable_band(
     zeta: float = 0.9,
     truncation: int = 2,
     nodes_per_axis: int = 5,
-    max_halvings: int = 8,
 ) -> tuple[float, BlochFamily]:
-    """Largest dyadic half-width J (from 0.8 |j*|) whose band builds cleanly.
+    """Largest dyadic half-width J (from 0.8 |j*|, at most 8 tries) whose band builds cleanly.
 
     Success means every node has a simple leading eigenvalue with real part
     at least half the one at the band center.
@@ -614,7 +586,7 @@ def widest_stable_band(
     center_spec = modal.ModalOperatorSpec(flow=flow, j=j_star, eps=ratio, truncation=truncation)
     center_p = modal.leading_eigs(center_spec, count=1)[0].p
     half = 0.8 * float(np.linalg.norm(j_star))
-    for _ in range(max_halvings):
+    for _ in range(8):
         try:
             family = band_datum(
                 flow, j_star, half, eps=eps, zeta=zeta,

@@ -38,10 +38,6 @@ class NumericalError(DynamoError, RuntimeError):
     """A solver, iteration, or certified check failed at run time."""
 
 
-class SeriesDiverges(NumericalError):
-    pass
-
-
 class SolverFailure(NumericalError):
     pass
 

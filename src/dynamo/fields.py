@@ -94,10 +94,6 @@ class SpectralField:
         """Root mean square over one cell: sqrt of the Parseval sum."""
         return float(np.linalg.norm(self.coeffs))
 
-    def cell_l2(self) -> float:
-        """True L^2 norm over one periodicity cell of volume (2 pi scale)^3."""
-        return self.l2() * (2.0 * np.pi * self.scale) ** 1.5
-
     def conjugate(self) -> "SpectralField":
         c = np.conj(self.coeffs[::-1, ::-1, ::-1])
         return SpectralField(c, kind=self.kind, scale=self.scale)
@@ -342,6 +338,18 @@ def cross(f: SpectralField, g: SpectralField, cap: int | None = None) -> Spectra
     return SpectralField(out, kind=kind, scale=f.scale)
 
 
+def _cross_matrix(w: np.ndarray) -> np.ndarray:
+    """Matrix [w]_x with [w]_x h = w x h, batched over leading axes."""
+    out = np.zeros(w.shape[:-1] + (3, 3), dtype=np.complex128)
+    out[..., 0, 1] = -w[..., 2]
+    out[..., 0, 2] = w[..., 1]
+    out[..., 1, 0] = w[..., 2]
+    out[..., 1, 2] = -w[..., 0]
+    out[..., 2, 0] = -w[..., 1]
+    out[..., 2, 1] = w[..., 0]
+    return out
+
+
 # ---------------------------------------------------------------------------
 # norms
 
@@ -468,6 +476,48 @@ def eval_hessian_at_points(f: SpectralField, points: np.ndarray) -> np.ndarray:
 _MAGIC = "spectral-field 1"
 
 
+def _write_snapshot(path, magic: str, meta: dict, values: np.ndarray) -> None:
+    """Magic line, ``key value`` lines, ``components 3``, ``data``, then the
+    (..., 3) values component-major as little-endian complex128, one
+    component converted at a time."""
+    lines = [magic, *(f"{k} {v}" for k, v in meta.items()), "components 3", "data", ""]
+    with open(path, "wb") as fh:
+        fh.write("\n".join(lines).encode("ascii"))
+        for c in range(3):
+            fh.write(np.ascontiguousarray(values[..., c], dtype="<c16"))
+
+
+def _read_snapshot(path, magic: str, parse: dict, side) -> tuple[dict, np.ndarray]:
+    """Header values, converted by ``parse``, and the (s, s, s, 3) payload.
+
+    ``side`` maps the converted header to the cube side s.  An unreadable
+    file, a missing key, a malformed value or a payload of the wrong size
+    raises ConfigError naming the path.
+    """
+    try:
+        with open(path, "rb") as fh:
+            blob = fh.read()
+    except OSError as exc:
+        raise ConfigError(f"{path}: cannot read snapshot ({exc.strerror})") from exc
+    split = blob.find(b"data\n")
+    if split < 0 or not blob.startswith(magic.encode("ascii")):
+        raise ConfigError(f"{path}: not a {magic.split()[0]} snapshot")
+    try:
+        head = blob[:split].decode("ascii").splitlines()
+        meta = dict(line.split(None, 1) for line in head[1:] if line.strip())
+        values = {key: conv(meta[key]) for key, conv in parse.items()}
+        comps = int(meta["components"])
+        s = side(values)
+    except (KeyError, ValueError) as exc:
+        raise ConfigError(f"{path}: malformed snapshot header ({exc!r})") from exc
+    if comps != 3:
+        raise ConfigError(f"{path}: expected 3 components, found {comps}")
+    raw = np.frombuffer(blob[split + len(b"data\n"):], dtype="<c16")
+    if raw.size != 3 * s**3:
+        raise ConfigError(f"{path}: payload holds {raw.size} values, expected {3 * s**3}")
+    return values, np.moveaxis(raw.reshape(3, s, s, s), 0, -1)
+
+
 def save_field(f: SpectralField, path) -> None:
     """Write the self-describing snapshot: text header, then raw payload.
 
@@ -475,45 +525,14 @@ def save_field(f: SpectralField, path) -> None:
     then lexicographic in k; the scale is stored as a hex float so that a
     load/save round trip is bit exact.
     """
-    header = "\n".join(
-        [
-            _MAGIC,
-            f"N {f.truncation}",
-            f"kind {f.kind}",
-            f"scale {float(f.scale).hex()}",
-            "components 3",
-            "data",
-            "",
-        ]
-    )
-    payload = np.ascontiguousarray(np.moveaxis(f.coeffs, -1, 0)).astype("<c16").tobytes()
-    with open(path, "wb") as fh:
-        fh.write(header.encode("ascii"))
-        fh.write(payload)
+    meta = {"N": f.truncation, "kind": f.kind, "scale": float(f.scale).hex()}
+    _write_snapshot(path, _MAGIC, meta, f.coeffs)
 
 
 def load_field(path) -> SpectralField:
-    with open(path, "rb") as fh:
-        blob = fh.read()
-    marker = b"data\n"
-    split = blob.find(marker)
-    if split < 0 or not blob.startswith(_MAGIC.encode("ascii")):
-        raise ConfigError(f"{path}: not a spectral-field snapshot")
-    head = blob[:split].decode("ascii").splitlines()
-    fields = dict(line.split(None, 1) for line in head[1:] if line.strip())
-    n = int(fields["N"])
-    kind = fields["kind"]
-    scale = float.fromhex(fields["scale"])
-    comps = int(fields["components"])
-    if comps != 3:
-        raise ConfigError(f"{path}: expected 3 components, found {comps}")
-    raw = np.frombuffer(blob[split + len(marker):], dtype="<c16")
-    side = 2 * n + 1
-    expect = 3 * side**3
-    if raw.size != expect:
-        raise ConfigError(f"{path}: payload holds {raw.size} values, expected {expect}")
-    coeffs = np.moveaxis(raw.reshape(3, side, side, side), 0, -1)
-    return SpectralField(coeffs, kind=kind, scale=scale)
+    parse = {"N": int, "kind": str, "scale": float.fromhex}
+    meta, coeffs = _read_snapshot(path, _MAGIC, parse, lambda m: 2 * m["N"] + 1)
+    return SpectralField(coeffs, kind=meta["kind"], scale=meta["scale"])
 
 
 # ---------------------------------------------------------------------------

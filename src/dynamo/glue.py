@@ -95,16 +95,16 @@ class TailModel:
         return self.coefficient / tail_target
 
 
-def calibrate_tail_model(band, r_lo: float, r_hi: float, num: int = 12) -> TailModel:
+def calibrate_tail_model(band, r_lo: float, r_hi: float) -> TailModel:
     """Fit the inverse-radius envelope against measured box-mass deficits.
 
     ``band`` is anything with total_mass()/box_mass(radii); the deficits on
-    a geometric radius ladder must follow a 1/R law (log-log slope within
+    a geometric ladder of 12 radii must follow a 1/R law (log-log slope within
     0.35 of -1), otherwise the data cannot support extrapolation.
     """
     if not (0.0 < r_lo < r_hi):
         raise ConfigError("need 0 < r_lo < r_hi for tail calibration")
-    radii = np.geomspace(r_lo, r_hi, num)
+    radii = np.geomspace(r_lo, r_hi, 12)
     total = band.total_mass()
     if total <= 0.0:
         raise ConfigError("cannot calibrate the tail of a zero datum")
@@ -196,13 +196,13 @@ class CutoffSpec:
         eye = np.eye(3)[None, :, :]
         return (d2 - tang)[:, None, None] * outer + tang[:, None, None] * eye
 
-    def derivative_budget_measured(self, samples: int = 4001) -> float:
-        """sup over the ramp of |grad phi| + ||D^2 phi||_2 (oversampled radially).
+    def derivative_budget_measured(self) -> float:
+        """sup over the ramp of |grad phi| + ||D^2 phi||_2 (4001 radial samples).
 
         The Hessian of a radial profile has eigenvalues phi'' (radial) and
         phi'/r (tangential, double), so the spectral norm is their max.
         """
-        s = np.linspace(0.0, 1.0, samples)
+        s = np.linspace(0.0, 1.0, 4001)
         r = self.plateau + s * self.width
         _, d1, d2 = self._ramp(s)
         matnorm = np.maximum(np.abs(d2), np.abs(d1) / r)
@@ -294,7 +294,6 @@ class BlockCatalog:
     ufrak: float
     tail: TailModel
     blocks: tuple[Block, ...]
-    ramp_degree: int = 5
 
     def __post_init__(self):
         if not isinstance(self.stream, df.SpectralField) or self.stream.kind != "real":
@@ -305,8 +304,6 @@ class BlockCatalog:
             raise ConfigError(f"shrink ratio must lie in (1/2, 1), got {self.zeta}")
         if self.ufrak <= 0.0 or not np.isfinite(self.ufrak):
             raise ConfigError("separation constant must be positive")
-        if self.ramp_degree != 5:
-            raise ConfigError("only the quintic ramp is supported")
         object.__setattr__(self, "blocks", tuple(self.blocks))
         if not self.blocks:
             raise ConfigError("catalog needs at least one block")
@@ -329,9 +326,6 @@ class BlockCatalog:
             kind="real",
             scale=self.stream.scale * self.zeta ** (n / 2.0),
         )
-
-    def velocity_for(self, n: int) -> df.SpectralField:
-        return df.curl(self.stream_for(n))
 
     def budget(self, block: Block) -> float:
         return block_budget(self.ufrak, block.n, block.ell)
@@ -456,18 +450,6 @@ class GluedEvaluation:
         return np.trace(self.gradient, axis1=1, axis2=2)
 
 
-def _right_cross(psi: np.ndarray) -> np.ndarray:
-    """M[p, i, m] = eps_{imk} psi_k, so that (M w)_i = (w x psi)_i."""
-    out = np.zeros(psi.shape[:-1] + (3, 3))
-    out[..., 0, 1] = psi[..., 2]
-    out[..., 0, 2] = -psi[..., 1]
-    out[..., 1, 0] = -psi[..., 2]
-    out[..., 1, 2] = psi[..., 0]
-    out[..., 2, 0] = psi[..., 1]
-    out[..., 2, 1] = -psi[..., 0]
-    return out
-
-
 def _local_fields(
     stream_n: df.SpectralField,
     plateau: float,
@@ -496,7 +478,7 @@ def _local_fields(
     grad = phi[:, None, None] * ju
     grad += uval[:, :, None] * (d1[:, None] * unit)[:, None, :]
     grad += (d2 - tang)[:, None, None] * np.cross(unit, psi)[:, :, None] * unit[:, None, :]
-    grad += tang[:, None, None] * _right_cross(psi)
+    grad -= tang[:, None, None] * df._cross_matrix(psi).real  # eps_{imk} psi_k = -[psi]_x
     grad += d1[:, None, None] * np.moveaxis(
         np.cross(unit[:, None, :], np.moveaxis(jpsi, 1, 2)), 1, 2
     )
@@ -848,7 +830,7 @@ def save_catalog(catalog: BlockCatalog, path) -> None:
         _CAT_MAGIC,
         f"zeta {catalog.zeta:.17g}",
         f"ufrak {catalog.ufrak:.17g}",
-        f"ramp_degree {catalog.ramp_degree}",
+        "ramp_degree 5",
         f"tail {catalog.tail.coefficient:.17g} {catalog.tail.valid_from:.17g}",
         f"stream {stream_name}",
         f"blocks {len(catalog.blocks)}",
@@ -862,10 +844,14 @@ def save_catalog(catalog: BlockCatalog, path) -> None:
 
 
 def load_catalog(path) -> BlockCatalog:
+    """Read a catalog snapshot; an unreadable or malformed file raises ConfigError."""
     from pathlib import Path
 
     path = Path(path)
-    lines = path.read_text(encoding="ascii").splitlines()
+    try:
+        lines = path.read_text(encoding="ascii").splitlines()
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"cannot read catalog {path}: {exc}") from exc
     if not lines or lines[0] != _CAT_MAGIC:
         raise ConfigError(f"{path} is not a block-catalog snapshot")
     header: dict[str, str] = {}
@@ -878,17 +864,19 @@ def load_catalog(path) -> BlockCatalog:
         degree = int(header["ramp_degree"])
         coef, valid = (float(x) for x in header["tail"].split())
         count = int(header["blocks"])
-        stream = df.load_field(path.with_name(header["stream"]))
+        stream_path = path.with_name(header["stream"])
     except (KeyError, ValueError) as exc:
         raise ConfigError(f"{path} has a malformed catalog header") from exc
+    if degree != 5:
+        raise ConfigError(f"{path}: only the quintic ramp (degree 5) is supported, got {degree}")
     blocks = []
     for line in lines[7:7 + count]:
-        parts = line.split()
-        if len(parts) != 8:
-            raise ConfigError(f"{path} has a malformed block line")
-        n, ell = int(parts[0]), int(parts[1])
-        quanta = (int(parts[2]), int(parts[3]), int(parts[4]))
-        radius, plateau, outer = (float(x) for x in parts[5:8])
+        try:
+            n, ell, q1, q2, q3, *radii = line.split()
+            n, ell, quanta = int(n), int(ell), (int(q1), int(q2), int(q3))
+            radius, plateau, outer = (float(x) for x in radii)
+        except ValueError as exc:
+            raise ConfigError(f"{path} has a malformed block line: {line!r}") from exc
         blocks.append(
             Block(
                 n=n, ell=ell, quanta=quanta,
@@ -899,6 +887,6 @@ def load_catalog(path) -> BlockCatalog:
     if len(blocks) != count:
         raise ConfigError(f"{path} is truncated: expected {count} blocks")
     return BlockCatalog(
-        stream=stream, zeta=zeta, ufrak=ufrak,
-        tail=TailModel(coef, valid), blocks=tuple(blocks), ramp_degree=degree,
+        stream=df.load_field(stream_path), zeta=zeta, ufrak=ufrak,
+        tail=TailModel(coef, valid), blocks=tuple(blocks),
     )

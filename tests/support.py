@@ -12,7 +12,11 @@ import dynamo.fields as df
 import dynamo.modal as dm
 from dynamo import alpha
 from dynamo import evolve as ev
-from dynamo.errors import ConfigError, SeriesDiverges, SolverFailure, TooLarge
+from dynamo.errors import ConfigError, NumericalError, SolverFailure, TooLarge
+
+
+class SeriesDiverges(NumericalError):
+    """The Neumann series of ``neumann_cell_solve`` does not converge."""
 
 
 def convolve_oracle(f: df.SpectralField, g: df.SpectralField) -> df.SpectralField:
@@ -43,12 +47,12 @@ def assemble_slope_generator(flow: df.SpectralField, j_direction, n: int) -> np.
     The derivative part acts as -2 (jhat . k) on the mode k, so the full
     eps = 1 operator decomposes as L(j) = L(0) + |j| L1 - |j|^2.
     """
-    jhat = dm._unit(j_direction)
+    jhat = alpha.unit_direction(j_direction)
     dim = 3 * (2 * n + 1) ** 3
     if dim > dm.DENSE_CAP:
         raise TooLarge(f"dense assembly of dimension {dim} exceeds the cap {dm.DENSE_CAP}")
     diag = np.repeat(-2.0 * np.sum(df.wavevectors(n) * jhat, axis=-1).reshape(-1), 3).astype(np.complex128)
-    return dm._pattern(flow, n).fill(dm._cross_matrix(1j * jhat), diag).toarray()
+    return dm._pattern(flow, n).fill(df._cross_matrix(1j * jhat), diag).toarray()
 
 
 def stencil_oracle(flow: df.SpectralField, n: int, left: np.ndarray, diag: np.ndarray) -> sp.csr_array:
@@ -65,7 +69,7 @@ def stencil_oracle(flow: df.SpectralField, n: int, left: np.ndarray, diag: np.nd
         r1, r2, r3 = (idx[max(0, di): side + min(0, di)] for di in d)
         rr = ((r1[:, None, None] * side + r2[None, :, None]) * side + r3[None, None, :]).reshape(-1)
         cc = rr - (d[0] * side + d[1]) * side - d[2]
-        blocks = left[rr] @ dm._cross_matrix(ud)
+        blocks = left[rr] @ df._cross_matrix(ud)
         rows.append(np.broadcast_to((3 * rr)[:, None, None] + axis3[:, None], blocks.shape).reshape(-1))
         cols.append(np.broadcast_to((3 * cc)[:, None, None] + axis3, blocks.shape).reshape(-1))
         vals.append(blocks.reshape(-1))
@@ -78,7 +82,7 @@ def operator_oracle(spec: dm.ModalOperatorSpec) -> sp.csr_array:
     """``modal._operator`` through ``stencil_oracle``."""
     kappa = spec.shifted_wavevectors()
     diag = np.repeat(-spec.eps * np.sum(kappa * kappa, axis=-1).reshape(-1), 3).astype(np.complex128)
-    return stencil_oracle(spec.flow, spec.truncation, dm._cross_matrix(1j * kappa), diag)
+    return stencil_oracle(spec.flow, spec.truncation, df._cross_matrix(1j * kappa), diag)
 
 
 def fft_residual(spec: dm.ModalOperatorSpec, h: df.SpectralField, p: complex = 0.0,

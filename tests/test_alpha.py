@@ -7,8 +7,8 @@ from hypothesis import given, settings, strategies as st
 
 import dynamo.fields as df
 import dynamo.alpha as da
-from dynamo.errors import ConfigError, SeriesDiverges, SolverFailure, UndefinedDirection
-from support import fft_residual, neumann_cell_solve
+from dynamo.errors import ConfigError, SolverFailure, UndefinedDirection
+from support import SeriesDiverges, fft_residual, neumann_cell_solve
 
 DELTA0 = 0.05
 

@@ -309,6 +309,46 @@ def test_cli_import_skips_scipy_optimize_and_integrate():
     assert out.stdout.strip() == "[]"
 
 
+def _eigs_on(flow_file):
+    return ["spectrum", "eigs", "--flow-file", str(flow_file), "--j", "0,0,0.045", "--truncation", "1"]
+
+
+def _abc_snapshot(tmp_path, old, new):
+    """An ABC field snapshot with ``old`` in its header replaced by ``new``."""
+    path = tmp_path / "flow.field"
+    df.save_field(df.make_abc(df.AbcParams()), path)
+    path.write_bytes(path.read_bytes().replace(old, new, 1))
+    return path
+
+
+def _catalog_with_label(tmp_path, label):
+    """A one-block catalog whose block line starts with ``label`` instead of n."""
+    path = tmp_path / "catalog.txt"
+    stream = df.make_abc(df.AbcParams(0.3, 0.3, 0.3))
+    glue.save_catalog(glue.plan_catalog(stream, glue.TailModel(12.2, 1.0), n_max=1, ell_max=1), path)
+    lines = path.read_text().splitlines()
+    lines[7] = label + lines[7][1:]
+    path.write_text("\n".join(lines) + "\n")
+    return path
+
+
+UNREADABLE_INPUTS = {
+    "missing-flow-file": lambda t: _eigs_on(t / "missing.field"),
+    "field-without-scale": lambda t: _eigs_on(_abc_snapshot(t, b"scale 0x1.0000000000000p+0\n", b"")),
+    "field-with-non-integer-size": lambda t: _eigs_on(_abc_snapshot(t, b"N 1\n", b"N x\n")),
+    "missing-catalog": lambda t: ["glue", "check", "--catalog", str(t / "missing.txt")],
+    "catalog-with-non-integer-label": lambda t: ["glue", "check", "--catalog", str(_catalog_with_label(t, "x"))],
+}
+
+
+@pytest.mark.parametrize("case", list(UNREADABLE_INPUTS))
+def test_unreadable_or_malformed_input_file_exits_2(tmp_path, case, capsys):
+    code, out, manifest = run(UNREADABLE_INPUTS[case](tmp_path), tmp_path)
+    assert code == 2
+    assert manifest is None
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 class TestConfigAndEnvironment:
     def test_config_file_supplies_required_flag(self, tmp_path):
         cfg = tmp_path / "cfg.json"

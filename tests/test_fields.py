@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from dynamo import fields as df
-from dynamo.errors import InvalidScale, InvalidTruncation, NotMeanFree
+from dynamo.errors import ConfigError, InvalidScale, InvalidTruncation, NotMeanFree
 from support import convolve_oracle
 
 
@@ -284,6 +284,17 @@ class TestSnapshot:
         # k = (0,0,-1) is the 13th lattice point (index 12)
         comp0 = raw[: 2 * 27].reshape(27, 2)
         assert_allclose(comp0[12], [0.0, 0.5])  # i/2
+
+    @pytest.mark.parametrize("old, new", [(None, None), (b"scale 0x1.0000000000000p+0\n", b""),
+                                          (b"N 1\n", b"N x\n")],
+                             ids=["missing-file", "missing-key", "non-integer-size"])
+    def test_unreadable_or_malformed_snapshot_names_the_path(self, tmp_path, old, new):
+        p = tmp_path / "abc.snap"
+        if old is not None:
+            df.save_field(abc(), p)
+            p.write_bytes(p.read_bytes().replace(old, new, 1))
+        with pytest.raises(ConfigError, match="abc.snap"):
+            df.load_field(p)
 
     def test_reject_garbage(self, tmp_path):
         p = tmp_path / "bad.snap"

@@ -183,7 +183,7 @@ class TestStencilPattern:
                     spec = dm.ModalOperatorSpec(flow, j, 0.7, n)
                     assert_same_csr(dm._operator(spec), operator_oracle(spec))
         # one left matrix for every mode, as the slope generator passes it
-        left = dm._cross_matrix(1j * np.array([0.0, 0.6, 0.8]))
+        left = df._cross_matrix(1j * np.array([0.0, 0.6, 0.8]))
         diag = rng.standard_normal(3 * 5**3) + 0j
         assert_same_csr(dm._pattern(wide, 2).fill(left, diag), stencil_oracle(wide, 2, left, diag))
 
