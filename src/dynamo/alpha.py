@@ -340,10 +340,10 @@ def instability_scan(
     )
 
 
-def recommended_amplitude(flow: df.SpectralField, budget: float = 0.05) -> float:
-    """Scaling that keeps the corrector series comfortably contractive."""
+def recommended_amplitude(flow: df.SpectralField) -> float:
+    """Scaling that keeps the corrector series comfortably contractive: 0.05 over the flow's size."""
     n = df.norms(flow)
     size = max(n.l2, n.sup_grad_estimate * df.GRAD_SAFETY)
     if size == 0.0:
         raise ConfigError("cannot scale the zero flow")
-    return budget / size
+    return 0.05 / size

@@ -344,20 +344,22 @@ class SampledVolume:
     values: np.ndarray
 
     def __post_init__(self):
-        if self.spacing <= 0.0:
-            raise ConfigError("sample spacing must be positive")
         vals = np.asarray(self.values, dtype=np.complex128)
         m = vals.shape[0]
         if vals.shape != (m, m, m, 3):
             raise ConfigError("values must be cubic with 3 components")
+        # volume_axis rejects a non-finite or non-positive geometry; its axis
+        # always has an odd number of points
+        if m != len(volume_axis(self.half_width, self.spacing)):
+            raise ConfigError(f"{m} samples per axis do not match half-width {self.half_width} "
+                              f"at spacing {self.spacing}")
         if not np.all(np.isfinite(vals)):
             raise SolverFailure("sampled values must be finite")
         object.__setattr__(self, "values", vals)
 
     @property
     def axis(self) -> np.ndarray:
-        m2 = (self.values.shape[0] - 1) // 2
-        return self.spacing * np.arange(-m2, m2 + 1)
+        return volume_axis(self.half_width, self.spacing)
 
 
 def sampled_box_mass(vol: SampledVolume) -> float:

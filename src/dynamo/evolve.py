@@ -274,8 +274,9 @@ class EnergyReport:
         return self.growth_violations == 0 and self.energy_violations == 0
 
 
-def energy_monitor(run: EvolutionRun, tolerance: float = 1e-6) -> EnergyReport:
-    """Flag any sample where a bound is violated beyond the tolerance."""
+def energy_monitor(run: EvolutionRun) -> EnergyReport:
+    """Flag any sample where a bound is violated by more than 1e-6."""
+    tolerance = 1e-6
     sg = run.trace.slack_growth_bound
     se = run.trace.slack_energy_estimate
     return EnergyReport(

@@ -237,10 +237,10 @@ def laplacian(f: SpectralField) -> SpectralField:
     return SpectralField(-k2 * f.coeffs, kind=f.kind, scale=f.scale)
 
 
-def inv_laplacian(f: SpectralField, mean_tol: float = 1e-12) -> SpectralField:
-    """Unique mean-free solution of Lap(g) = f; requires mean-free input."""
+def inv_laplacian(f: SpectralField) -> SpectralField:
+    """Unique mean-free solution of Lap(g) = f; requires input whose mean is below 1e-12 relative."""
     m = np.linalg.norm(mean_vector(f))
-    if m > mean_tol * max(1.0, f.l2()):
+    if m > 1e-12 * max(1.0, f.l2()):
         raise NotMeanFree(f"input has mean of relative size {m:.3e}")
     n = f.truncation
     kv = wavevectors(n, f.scale)

@@ -25,11 +25,12 @@ argument-principle eigenvalue count, first-order perturbation checks,
 continuation of an eigenpair in eps, and the quantitative projector
 comparison bound used to certify rank stability.
 
-Every contour quadrature solves with sparse LU factors of mu I - L, made
-once per (operator, node) and reused across node doublings, repeated
-contour sums, eigenvalue counts and shared eps grid points; nodes too close
-to the spectrum are caught by a condition estimate on those factors.  The
-comparison bound takes exact 2-norms by Lanczos on the same factors.
+One resolvent object per operator forms mu I - L and factors it by sparse
+LU: at sigma for the eigensolver, and once per contour node, reused across
+node doublings, repeated contour sums, eigenvalue counts and shared eps grid
+points, with a condition estimate that catches nodes too close to the
+spectrum.  The comparison bound takes exact 2-norms by Lanczos on the same
+factors.  The cell solve in alpha still factors its own restricted matrix.
 """
 
 from __future__ import annotations
@@ -256,26 +257,28 @@ def leading_eigs(
 ) -> list[EigPair]:
     """The ``count`` eigenpairs nearest ``sigma``, ordered by descending real part.
 
-    Shift-invert Arnoldi (ARPACK) on one sparse LU of L - sigma I, started
-    from a random vector fixed by ``seed``; there is no size cap.  The
-    default shift, 0.1 eps, lies just right of the eigenvalues near zero
-    that carry the alpha instability, so the nearest eigenvalues are the
-    leading ones.  ARPACK returns at most dim - 2 of them.
+    Shift-invert Arnoldi (ARPACK) on the resolvent's sparse LU of
+    sigma I - L, started from a random vector fixed by ``seed``; there is no
+    size cap.  The default shift, 0.1 eps, lies just right of the
+    eigenvalues near zero that carry the alpha instability, so the nearest
+    eigenvalues are the leading ones.  ARPACK returns at most dim - 2.
     """
     if not 1 <= count <= spec.dim - 2:
         raise ConfigError(f"shift-invert Arnoldi returns 1 to {spec.dim - 2} eigenpairs, not {count}")
     if sigma is None:
         sigma = 0.1 * spec.eps
-    op = _operator(spec).tocsc()
+    res = _Resolvent(spec)
     v0 = np.random.default_rng(seed).standard_normal(spec.dim) + 0.0j
     try:
-        lu = spla.splu(sp.csc_array(op - sigma * sp.eye_array(spec.dim, format="csc")), permc_spec="MMD_AT_PLUS_A")
-        opinv = spla.LinearOperator(op.shape, matvec=lu.solve, dtype=np.complex128)
-        vals, vecs = spla.eigs(op, k=count, sigma=sigma, which="LM", v0=v0, OPinv=opinv)
-    except RuntimeError as exc:  # pragma: no cover - no convergence, or sigma exactly singular
+        # no condition gate: continue_in_eps puts sigma on an eigenvalue on purpose;
+        # (L - sigma I)^-1 = -(sigma I - L)^-1 exactly, as negation does not round
+        lu = res.factor(sigma)[0]
+        opinv = spla.LinearOperator(res.matrix.shape, matvec=lambda x: -lu.solve(x), dtype=np.complex128)
+        vals, vecs = spla.eigs(res.matrix, k=count, sigma=sigma, which="LM", v0=v0, OPinv=opinv)
+    except RuntimeError as exc:  # no convergence, or sigma exactly singular
         raise EigsFailed(f"shift-invert Arnoldi failed: {exc}") from exc
     order = eig_order(vals)
-    return [_make_pair(op, spec, vals[i], vec_to_field(vecs[:, i], spec.truncation)) for i in order]
+    return [_make_pair(res.matrix, spec, vals[i], vec_to_field(vecs[:, i], spec.truncation)) for i in order]
 
 
 # ---------------------------------------------------------------------------
@@ -333,41 +336,49 @@ def _inv_norm1(lu: spla.SuperLU, dim: int) -> float:
 
 
 class _Resolvent:
-    """Sparse LU factors of mu I - L, one per quadrature node mu, made on first use.
+    """The stencil of one operator and the sparse LUs of mu I - L.
 
-    The trapezoid nodes of n points are bitwise the even nodes of 2n points,
-    so a contour whose node count doubles reuses every factor made so far.
+    The one place that shifts and factors the stencil: ``factor`` serves any
+    mu, the eigensolver's sigma included, and ``lu`` adds the quadrature
+    nodes' condition gate and keeps each node's factor.  The trapezoid nodes
+    of n points are bitwise the even nodes of 2n points, so a contour whose
+    node count doubles reuses every factor made so far.  The cell solve in
+    alpha still factors its own restricted matrix.
     """
 
-    def __init__(self, matrix: sp.sparray):
-        self.matrix = sp.csc_array(matrix)
+    def __init__(self, spec: ModalOperatorSpec):
+        self.matrix = _operator(spec).tocsc()
         self._lus: dict[complex, spla.SuperLU] = {}
 
-    def lu(self, mu: complex) -> spla.SuperLU:
-        lu = self._lus.get(mu)
-        if lu is not None:
-            return lu
-        dim = self.matrix.shape[0]
-        m = sp.csc_array(mu * sp.eye_array(dim, dtype=np.complex128, format="csc") - self.matrix)
+    def factor(self, mu: complex) -> tuple[spla.SuperLU, sp.csc_array]:
+        """Sparse LU of mu I - L, and mu I - L itself."""
+        m = sp.csc_array(mu * sp.eye_array(self.matrix.shape[0], dtype=np.complex128, format="csc") - self.matrix)
         try:
             # a real flow has its modes in pairs +-d, so the stencil is close
             # to structurally symmetric: minimum degree on A^T + A fills least
-            lu = spla.splu(m, permc_spec="MMD_AT_PLUS_A")
+            return spla.splu(m, permc_spec="MMD_AT_PLUS_A"), m
         except RuntimeError as exc:  # exactly singular pivot
-            raise ContourTouchesSpectrum(f"resolvent singular at node {mu:.6g}: {exc}") from exc
-        rcond = 1.0 / (float(abs(m).sum(axis=0).max()) * _inv_norm1(lu, dim))
-        if rcond < 1e-14:
-            raise ContourTouchesSpectrum(f"resolvent nearly singular at node {mu:.6g} (rcond {rcond:.2e})")
-        self._lus[mu] = lu
-        return lu
+            raise ContourTouchesSpectrum(f"resolvent singular at {mu:.6g}: {exc}") from exc
+
+    def lu(self, mu: complex) -> spla.SuperLU:
+        """The factor at a quadrature node, made on first use; a node too close to the spectrum raises."""
+        if mu not in self._lus:
+            lu, m = self.factor(mu)
+            rcond = 1.0 / (float(abs(m).sum(axis=0).max()) * _inv_norm1(lu, m.shape[0]))
+            if rcond < 1e-14:
+                raise ContourTouchesSpectrum(f"resolvent nearly singular at node {mu:.6g} (rcond {rcond:.2e})")
+            self._lus[mu] = lu
+        return self._lus[mu]
 
 
-def _contour_sum(res: _Resolvent, contour: Contour, block: np.ndarray) -> np.ndarray:
-    """Quadrature of the resolvent integral applied to a block of vectors."""
+def _contour_sum(res: _Resolvent, contour: Contour, block: np.ndarray, trans: str = "N") -> np.ndarray:
+    """Quadrature of the resolvent integral applied to a block of vectors, or its adjoint with trans = 'H'."""
     mus, phases = contour.points()
+    if trans == "H":
+        phases = phases.conj()
     acc = np.zeros_like(block)
     for mu, ph in zip(mus, phases):
-        acc += ph * res.lu(mu).solve(block)
+        acc += ph * res.lu(mu).solve(block, trans)
     return acc * (contour.radius / contour.nodes)
 
 
@@ -435,7 +446,7 @@ class RieszProjector:
 
     def __init__(self, spec: ModalOperatorSpec, contour: Contour):
         self.spec = spec
-        res = _Resolvent(_operator(spec))
+        res = _Resolvent(spec)
         rng = np.random.default_rng(7)
         block = rng.standard_normal((spec.dim, 8)) + 1j * rng.standard_normal((spec.dim, 8))
         block /= np.linalg.norm(block, axis=0, keepdims=True)
@@ -461,7 +472,7 @@ class RieszProjector:
         # a projector keeps no arrays from construction: held across calls,
         # even the sparse matrix pins heap between the freed node factors,
         # and the process grows with every projector kept alive
-        return _contour_sum(_Resolvent(_operator(self.spec)), self.contour, block)
+        return _contour_sum(_Resolvent(self.spec), self.contour, block)
 
     def apply(self, f: df.SpectralField) -> df.SpectralField:
         x = field_to_vec(df.resize(f, self.spec.truncation))
@@ -503,43 +514,33 @@ def projector_distance_bound(
 ) -> ProjectorComparison:
     if spec0.dim != spec1.dim:
         raise ConfigError("operators must share one truncation for comparison")
-    mus, phases = contour.points()
-    weights = phases * (contour.radius / contour.nodes)
-    res0, res1 = _Resolvent(_operator(spec0)), _Resolvent(_operator(spec1))
+    res0, res1 = _Resolvent(spec0), _Resolvent(spec1)
     rank0, rank1 = _count(res0, contour), _count(res1, contour)
     delta = res1.matrix - res0.matrix
     delta_h = delta.conj().T
     dim = spec0.dim
     smallness = 0.0
-    sup_r0 = 0.0
-    for mu in mus:
+    sup_resolvent = 0.0
+    for mu in contour.points()[0]:
         lu0 = res0.lu(mu)
-        sup_r0 = max(sup_r0, _norm2(lu0.solve, lambda y: lu0.solve(y, trans="H"), dim))
+        sup_resolvent = max(sup_resolvent, _norm2(lu0.solve, lambda y: lu0.solve(y, trans="H"), dim))
         if delta.nnz:
             smallness = max(smallness, _norm2(
                 lambda x: delta @ lu0.solve(x), lambda y: lu0.solve(delta_h @ y, trans="H"), dim
             ))
     if smallness >= 1.0:
         raise BoundInapplicable(f"perturbation is not contractive on the contour (M = {smallness:.3f})")
-    bound = contour.radius * smallness / (1.0 - smallness) * sup_r0
+    bound = contour.radius * smallness / (1.0 - smallness) * sup_resolvent
 
     def p_diff(x: np.ndarray, trans: str = "N") -> np.ndarray:
         """(P0 - P1) x, or its adjoint with trans = 'H'."""
-        ws = weights.conj() if trans == "H" else weights
-        return sum(w * (res0.lu(mu).solve(x, trans) - res1.lu(mu).solve(x, trans)) for mu, w in zip(mus, ws))
+        return _contour_sum(res0, contour, x, trans) - _contour_sum(res1, contour, x, trans)
 
     # an unperturbed operator has the identical projector; Lanczos cannot
     # start on the zero operator
     measured = _norm2(p_diff, lambda y: p_diff(y, "H"), dim) if delta.nnz else 0.0
 
-    return ProjectorComparison(
-        smallness=float(smallness),
-        sup_resolvent=float(sup_r0),
-        bound=float(bound),
-        measured=measured,
-        rank0=rank0,
-        rank1=rank1,
-    )
+    return ProjectorComparison(smallness, sup_resolvent, bound, measured, rank0, rank1)
 
 
 # ---------------------------------------------------------------------------
@@ -581,8 +582,8 @@ def first_order_check(
 
     jhat = alpha.unit_direction(j_direction)
     mags = np.asarray(magnitudes, dtype=float)
-    if np.any(mags <= 0.0) or np.any(np.diff(mags) >= 0.0):
-        raise ConfigError("magnitudes must be positive and strictly decreasing")
+    if mags.size < 2 or np.any(mags <= 0.0) or np.any(np.diff(mags) >= 0.0):
+        raise ConfigError("the slope fit needs at least two magnitudes, positive and strictly decreasing")
     am = alpha.alpha_matrix(flow, jhat, truncation=truncation, tol=tol)
     mu = am.eigenvalues
     eigs = np.zeros((len(mags), 3), dtype=np.complex128)
@@ -673,7 +674,7 @@ def continue_in_eps(
         trial_eps = eps - step
         spec = ModalOperatorSpec(flow, j, trial_eps, truncation)
         contour = Contour(complex(current.p), radius, 16)
-        res = _Resolvent(_operator(spec))
+        res = _Resolvent(spec)
         x = field_to_vec(current.field)
         try:
             y = _contour_sum(res, contour, x[:, None])[:, 0]
@@ -728,10 +729,8 @@ def eps_lipschitz(
     # points of the half-step grid and shares its projected images; the
     # point counts are those of np.arange(eps_lo, eps_hi + 1e-12, h)
     half = step / 2.0
-    imgs = []
-    for i in range(math.ceil((eps_hi + 1e-12 - eps_lo) / half)):
-        res = _Resolvent(_operator(ModalOperatorSpec(flow, j, eps_lo + i * half, truncation)))
-        imgs.append(_contour_sum(res, contour, x)[:, 0])
+    imgs = [_contour_sum(_Resolvent(ModalOperatorSpec(flow, j, eps_lo + i * half, truncation)), contour, x)[:, 0]
+            for i in range(math.ceil((eps_hi + 1e-12 - eps_lo) / half))]
 
     def path_constant(pts: list[np.ndarray], h: float) -> float:
         return float(max(np.linalg.norm(b - a) / h for a, b in zip(pts, pts[1:])))

@@ -7,6 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg as la
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 import dynamo.fields as df
 import dynamo.modal as dm
@@ -83,6 +84,20 @@ def operator_oracle(spec: dm.ModalOperatorSpec) -> sp.csr_array:
     kappa = spec.shifted_wavevectors()
     diag = np.repeat(-spec.eps * np.sum(kappa * kappa, axis=-1).reshape(-1), 3).astype(np.complex128)
     return stencil_oracle(spec.flow, spec.truncation, df._cross_matrix(1j * kappa), diag)
+
+
+def leading_eigs_oracle(spec: dm.ModalOperatorSpec, count: int = 6, sigma: complex | None = None,
+                        seed: int = 0) -> list[dm.EigPair]:
+    """``modal.leading_eigs`` on its own LU of L - sigma I, shifted by sparse arithmetic."""
+    if sigma is None:
+        sigma = 0.1 * spec.eps
+    op = dm._operator(spec).tocsc()
+    v0 = np.random.default_rng(seed).standard_normal(spec.dim) + 0.0j
+    lu = spla.splu(sp.csc_array(op - sigma * sp.eye_array(spec.dim, format="csc")), permc_spec="MMD_AT_PLUS_A")
+    opinv = spla.LinearOperator(op.shape, matvec=lu.solve, dtype=np.complex128)
+    vals, vecs = spla.eigs(op, k=count, sigma=sigma, which="LM", v0=v0, OPinv=opinv)
+    return [dm._make_pair(op, spec, vals[i], dm.vec_to_field(vecs[:, i], spec.truncation))
+            for i in dm.eig_order(vals)]
 
 
 def fft_residual(spec: dm.ModalOperatorSpec, h: df.SpectralField, p: complex = 0.0,

@@ -615,8 +615,8 @@ class TestVolumeIO:
         m = 3
         vals = rng.standard_normal((m, m, m, 3)) + 1j * rng.standard_normal((m, m, m, 3))
         path = tmp_path / "vol.bin"
-        bloch.save_volume(bloch.SampledVolume(1.5, 0.75, vals), path)
-        header = (f"sampled-volume 1\nm {m}\nhalf_width {(1.5).hex()}\n"
+        bloch.save_volume(bloch.SampledVolume(1.0, 0.75, vals), path)
+        header = (f"sampled-volume 1\nm {m}\nhalf_width {(1.0).hex()}\n"
                   f"spacing {(0.75).hex()}\ncomponents 3\ndata\n").encode("ascii")
         payload = b"".join(
             struct.pack("<dd", z.real, z.imag)
@@ -630,7 +630,7 @@ class TestVolumeIO:
         path.write_bytes(b"something else entirely\ndata\n" + b"\0" * 64)
         with pytest.raises(ConfigError):
             bloch.load_volume(path)
-        vol = bloch.SampledVolume(1.0, 0.5, np.zeros((3, 3, 3, 3), dtype=complex))
+        vol = bloch.SampledVolume(0.5, 0.5, np.zeros((3, 3, 3, 3), dtype=complex))
         good = tmp_path / "vol.bin"
         bloch.save_volume(vol, good)
         good.write_bytes(good.read_bytes()[:-16])
@@ -645,7 +645,20 @@ class TestVolumeIO:
         bad = np.zeros((3, 3, 3, 3), dtype=complex)
         bad[0, 0, 0, 0] = np.nan
         with pytest.raises(Exception):
-            bloch.SampledVolume(1.0, 0.5, bad)
+            bloch.SampledVolume(0.5, 0.5, bad)
+        # geometries the samples do not have: an even side, a NaN spacing,
+        # and a half-width of 7 where 5 samples at spacing 0.5 span only +-1
+        for half_width, spacing, m in ((1.0, 0.5, 4), (1.0, np.nan, 5), (7.0, 0.5, 5)):
+            with pytest.raises(ConfigError):
+                bloch.SampledVolume(half_width, spacing, np.zeros((m, m, m, 3), dtype=complex))
+
+    def test_hand_edited_geometry_fails_to_load(self, tmp_path):
+        path = tmp_path / "vol.bin"
+        bloch.save_volume(bloch.SampledVolume(1.0, 0.5, np.zeros((5, 5, 5, 3), dtype=complex)), path)
+        path.write_bytes(path.read_bytes().replace(f"half_width {(1.0).hex()}".encode(),
+                                                   f"half_width {(7.0).hex()}".encode(), 1))
+        with pytest.raises(ConfigError):
+            bloch.load_volume(path)
 
     def test_trapezoid_mass_of_constant(self):
         v = np.array([1.0, 2.0, -1.0])

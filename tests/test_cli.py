@@ -149,6 +149,14 @@ class TestSpectrum:
         assert code == 0
         assert manifest["report"]["slope"] >= 1.8
 
+    def test_kato_single_magnitude_exits_2(self, tmp_path):
+        # one magnitude leaves the log-log slope nothing to fit
+        code, _, manifest = run(
+            ["spectrum", "kato", "--abc", "1,1,1", "--delta0", "0.05",
+             "--jmags", "0.01", "--truncation", "1"], tmp_path)
+        assert code == 2
+        assert manifest is None
+
 
 class TestEvolve:
     def test_growth_matches_leading_eigenvalue(self, tmp_path):

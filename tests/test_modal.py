@@ -1,5 +1,7 @@
 """Shifted-operator assembly, eigenpairs, projectors, continuation."""
 
+import sys
+
 import numpy as np
 import pytest
 import scipy.linalg as la
@@ -13,6 +15,7 @@ from dynamo.errors import (
     BoundInapplicable,
     ConfigError,
     ContourTouchesSpectrum,
+    EigsFailed,
     SolverFailure,
     TooLarge,
 )
@@ -21,6 +24,7 @@ from support import (
     dense_eigenvalues,
     fft_residual,
     kernel_basis,
+    leading_eigs_oracle,
     operator_oracle,
     stencil_oracle,
 )
@@ -290,6 +294,24 @@ class TestLeadingEigs:
             assert abs(p - t.p) <= 1e-10
             assert fft_residual(spec, t.field, t.p) <= 1e-10
 
+    def test_bit_identical_to_a_direct_shift(self):
+        # -(sigma I - L)^-1 on the resolvent's factor hands Arnoldi the very
+        # vectors of an LU of L - sigma I shifted by sparse arithmetic, also
+        # with sigma on a computed eigenvalue, as continuation puts it
+        for spec in workload_like_specs(1):
+            top = dm.leading_eigs(spec, count=6)
+            for sigma, got in ((None, top), (top[0].p, dm.leading_eigs(spec, count=2, sigma=top[0].p))):
+                want = leading_eigs_oracle(spec, count=len(got), sigma=sigma)
+                assert np.array_equal([t.p for t in got], [t.p for t in want])
+                for g, w in zip(got, want):
+                    assert np.array_equal(g.field.coeffs, w.field.coeffs)
+
+    def test_exactly_singular_shift_raises(self):
+        # without a flow L is diagonal, with -1 on it exactly
+        spec = dm.ModalOperatorSpec(df.zero_field(1), np.zeros(3), 1.0, 1)
+        with pytest.raises(EigsFailed):
+            dm.leading_eigs(spec, count=2, sigma=-1.0)
+
     def test_conjugation_symmetry(self):
         u = small_abc()
         j = 0.03 * np.array([1.0, 1.0, 0.5]) / np.linalg.norm([1.0, 1.0, 0.5])
@@ -384,13 +406,13 @@ class TestRieszProjector:
             eye = np.eye(spec.dim)
             dense = sum(ph * la.solve(mu * eye - a, block) for mu, ph in zip(mus, phases))
             dense *= contour.radius / contour.nodes
-            sparse = dm._contour_sum(dm._Resolvent(dm._operator(spec)), contour, block)
+            sparse = dm._contour_sum(dm._Resolvent(spec), contour, block)
             assert np.max(np.abs(sparse - dense)) <= 1e-12 * max(1.0, np.max(np.abs(dense)))
 
     def test_condition_estimate_matches_lapack(self):
         for n in (1, 2):
             spec = dm.ModalOperatorSpec(small_abc(0.3), np.array([0.0, 0.0, 0.045]), 1.0, n)
-            res = dm._Resolvent(dm._operator(spec))
+            res = dm._Resolvent(spec)
             a = dm.assemble_dense(spec)
             for mu in (0.5, 0.3 + 0.4j, -0.2j):
                 m = mu * np.eye(spec.dim) - a
@@ -426,12 +448,12 @@ class TestCount:
         center, radius = contour
         lam = dense_eigenvalues(spec)
         assert np.sum(np.abs(lam - center) < radius) == want
-        assert dm._count(dm._Resolvent(dm._operator(spec)), dm.Contour(center, radius, 8)) == want
+        assert dm._count(dm._Resolvent(spec), dm.Contour(center, radius, 8)) == want
 
     def test_unresolved_phase_raises(self):
         # the (-1, 0.3) circle needs 16 nodes; capped at 8 the count refuses
         spec = dm.ModalOperatorSpec(small_abc(0.3), np.array([0.0, 0.0, 0.045]), 1.0, 2)
-        res = dm._Resolvent(dm._operator(spec))
+        res = dm._Resolvent(spec)
         with pytest.raises(SolverFailure):
             dm._count(res, dm.Contour(-1.0, 0.3, 8), max_nodes=8)
         assert dm._count(res, dm.Contour(-1.0, 0.3, 8), max_nodes=16) == 17
@@ -440,7 +462,7 @@ class TestCount:
         spec = dm.ModalOperatorSpec(small_abc(0.3), np.array([0.0, 0.0, 0.045]), 1.0, 1)
         lam = dense_eigenvalues(spec)[0]
         with pytest.raises(ContourTouchesSpectrum):
-            dm._count(dm._Resolvent(dm._operator(spec)), dm.Contour(lam - 0.1 + 1e-15, 0.1, 16))
+            dm._count(dm._Resolvent(spec), dm.Contour(lam - 0.1 + 1e-15, 0.1, 16))
 
 
 def test_production_paths_use_no_dense_eigensolver(monkeypatch, tmp_path):
@@ -515,8 +537,9 @@ class TestFirstOrderCheck:
             assert np.max(np.abs(row)) <= 2 * (mu_max * m + m**2)
 
     def test_nondecreasing_magnitudes_rejected(self):
-        with pytest.raises(ConfigError):
-            dm.first_order_check(small_abc(), [0, 0, 1], [0.005, 0.01], truncation=1)
+        for mags in ([0.005, 0.01], [0.01]):
+            with pytest.raises(ConfigError):
+                dm.first_order_check(small_abc(), [0, 0, 1], mags, truncation=1)
 
     def test_branch_matching_is_the_optimal_assignment(self):
         from scipy.optimize import linear_sum_assignment
@@ -577,6 +600,27 @@ class TestContinuation:
         # the step grid {0.9, 0.95, 1.0} is the even half of the half-step
         # grid of 5 points: 5 operators x 16 nodes, not (3 + 5) x 16 = 128
         assert factorizations == {"lu_factor": 0, "splu": 80}
+
+
+def test_every_modal_factorization_is_the_resolvents(monkeypatch):
+    callers = []
+
+    def recorded(*args, _splu=spla.splu, **kwargs):
+        callers.append(sys._getframe(1).f_code)
+        return _splu(*args, **kwargs)
+
+    monkeypatch.setattr(spla, "splu", recorded)
+    u = small_abc(0.3)
+    j = np.array([0.0, 0.0, 0.045])
+    spec = dm.ModalOperatorSpec(u, j, 1.0, 1)
+    start = dm.leading_eigs(spec, count=2)[0]
+    dm.continue_in_eps(u, j, start, 0.95, 1)
+    dm.eps_lipschitz(u, j, start.field, dm.Contour(complex(start.p), 0.02, 16), 0.95, 1.0, 1, 0.025)
+    projector = dm.RieszProjector(spec, dm.Contour(0.0, 0.5, 16))
+    projector.apply(df.const_field([1.0, 0.0, 0.0], n=1))
+    dm.projector_distance_bound(spec, dm.ModalOperatorSpec(u, j, 0.97, 1), dm.Contour(0.0, 0.5, 8))
+    assert len(callers) > 100
+    assert set(callers) == {dm._Resolvent.factor.__code__}
 
 
 class TestProjectorDistance:
