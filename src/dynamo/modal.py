@@ -27,17 +27,21 @@ comparison bound used to certify rank stability.
 
 One resolvent object per operator forms mu I - L and factors it by sparse
 LU: at sigma for the eigensolver, and once per contour node, reused across
-node doublings, repeated contour sums, eigenvalue counts and shared eps grid
-points, with a condition estimate that catches nodes too close to the
-spectrum.  The comparison bound takes exact 2-norms by Lanczos on the same
-factors.  The cell solve in alpha still factors its own restricted matrix.
+node doublings, repeated contour sums and shared eps grid points, with a
+condition estimate that catches nodes too close to the spectrum.  An
+eigenvalue count reads each node's determinant phase once and releases that
+node's factor, so it runs after the solves on the same nodes.  The
+comparison bound takes exact 2-norms by Lanczos on the same factors.  The
+cell solve in alpha still factors its own restricted matrix.
 """
 
 from __future__ import annotations
 
+import cmath
 import functools
 import itertools
 import math
+import numbers
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -267,6 +271,8 @@ def leading_eigs(
         raise ConfigError(f"shift-invert Arnoldi returns 1 to {spec.dim - 2} eigenpairs, not {count}")
     if sigma is None:
         sigma = 0.1 * spec.eps
+    if not cmath.isfinite(sigma):
+        raise ConfigError(f"shift sigma must be finite, got {sigma}")
     res = _Resolvent(spec)
     v0 = np.random.default_rng(seed).standard_normal(spec.dim) + 0.0j
     try:
@@ -293,8 +299,12 @@ class Contour:
     nodes: int = 16
 
     def __post_init__(self):
+        if not cmath.isfinite(self.center):
+            raise ConfigError(f"contour center must be finite, got {self.center}")
         if not (self.radius > 0.0 and math.isfinite(self.radius)):
             raise ConfigError(f"contour radius must be positive, got {self.radius}")
+        if not isinstance(self.nodes, numbers.Integral):
+            raise ConfigError(f"contour node count must be an integer, got {self.nodes!r}")
         if self.nodes < 8:
             raise ConfigError("contour quadrature needs at least 8 nodes")
 
@@ -342,13 +352,18 @@ class _Resolvent:
     mu, the eigensolver's sigma included, and ``lu`` adds the quadrature
     nodes' condition gate and keeps each node's factor.  The trapezoid nodes
     of n points are bitwise the even nodes of 2n points, so a contour whose
-    node count doubles reuses every factor made so far.  The cell solve in
-    alpha still factors its own restricted matrix.
+    node count doubles reuses every factor made so far.  ``phase`` reads a
+    node's determinant phase once, keeps that number and releases the node's
+    factor: reading U makes SuperLU build and keep CSC copies of L and U, so
+    a kept factor would hold them for as long as it lives.  Callers therefore
+    count after their solves on the same nodes.  The cell solve in alpha
+    still factors its own restricted matrix.
     """
 
     def __init__(self, spec: ModalOperatorSpec):
         self.matrix = _operator(spec).tocsc()
         self._lus: dict[complex, spla.SuperLU] = {}
+        self._phases: dict[complex, float] = {}
 
     def factor(self, mu: complex) -> tuple[spla.SuperLU, sp.csc_array]:
         """Sparse LU of mu I - L, and mu I - L itself."""
@@ -369,6 +384,21 @@ class _Resolvent:
                 raise ContourTouchesSpectrum(f"resolvent nearly singular at node {mu:.6g} (rcond {rcond:.2e})")
             self._lus[mu] = lu
         return self._lus[mu]
+
+    def phase(self, mu: complex) -> float:
+        """Phase of det(mu I - L) / det(mu I - D) at a node, D the diagonal of L; releases the node's factor.
+
+        With Pr A Pc = L U the sparse LU of A = mu I - L, the phase of det A
+        is sum arg diag(U) + pi (parity(Pr) + parity(Pc)).  The factor comes
+        from ``lu``, so the condition gate holds; a later solve at this node
+        factors it anew.
+        """
+        if mu not in self._phases:
+            lu = self.lu(mu)
+            self._phases[mu] = (np.sum(np.angle(lu.U.diagonal())) - np.sum(np.angle(mu - self.matrix.diagonal()))
+                                + np.pi * (_parity(lu.perm_r) + _parity(lu.perm_c)))
+            del self._lus[mu]
+        return self._phases[mu]
 
 
 def _contour_sum(res: _Resolvent, contour: Contour, block: np.ndarray, trans: str = "N") -> np.ndarray:
@@ -400,11 +430,11 @@ def _parity(perm: np.ndarray) -> int:
 def _count(res: _Resolvent, contour: Contour, max_nodes: int = MAX_NODES) -> int:
     """Number of eigenvalues of L inside the circle, by the argument principle.
 
-    With Pr A Pc = L U the sparse LU of A = mu I - L at a node, the phase of
-    det A is sum arg diag(U) + pi (parity(Pr) + parity(Pc)).  Dividing by
-    det(mu I - D), D the diagonal of L, leaves a phase that turns slowly and
-    winds (eigenvalues inside) - (diagonal entries inside) times.  The node
-    count doubles, reusing the factors of the nested nodes, until every
+    The phase of det(mu I - L) / det(mu I - D), D the diagonal of L, turns
+    slowly and winds (eigenvalues inside) - (diagonal entries inside) times.
+    Each node's phase is read once by ``_Resolvent.phase``, which releases
+    that node's factor, so count after every solve on the same nodes.  The
+    node count doubles, reusing the phases of the nested nodes, until every
     phase step between neighbours is below pi/2; past ``max_nodes`` the
     count raises.  Passing that rule, or agreeing across doublings,
     certifies nothing: an eigenvalue that coincides with a diagonal entry
@@ -417,11 +447,7 @@ def _count(res: _Resolvent, contour: Contour, max_nodes: int = MAX_NODES) -> int
     nodes = contour.nodes
     while True:
         mus, _ = Contour(contour.center, contour.radius, nodes).points()
-        phase = np.empty(nodes)
-        for i, mu in enumerate(mus):
-            lu = res.lu(mu)
-            phase[i] = (np.sum(np.angle(lu.U.diagonal())) - np.sum(np.angle(mu - d))
-                        + np.pi * (_parity(lu.perm_r) + _parity(lu.perm_c)))
+        phase = np.array([res.phase(mu) for mu in mus])
         steps = np.angle(np.exp(1j * (np.roll(phase, -1) - phase)))
         if np.max(np.abs(steps)) < np.pi / 2:
             break
@@ -515,7 +541,6 @@ def projector_distance_bound(
     if spec0.dim != spec1.dim:
         raise ConfigError("operators must share one truncation for comparison")
     res0, res1 = _Resolvent(spec0), _Resolvent(spec1)
-    rank0, rank1 = _count(res0, contour), _count(res1, contour)
     delta = res1.matrix - res0.matrix
     delta_h = delta.conj().T
     dim = spec0.dim
@@ -539,7 +564,8 @@ def projector_distance_bound(
     # an unperturbed operator has the identical projector; Lanczos cannot
     # start on the zero operator
     measured = _norm2(p_diff, lambda y: p_diff(y, "H"), dim) if delta.nnz else 0.0
-
+    # counting releases the node factors, so it comes after every solve on them
+    rank0, rank1 = _count(res0, contour), _count(res1, contour)
     return ProjectorComparison(smallness, sup_resolvent, bound, measured, rank0, rank1)
 
 

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import tracemalloc
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,6 +19,18 @@ from dynamo.errors import ConfigError, NumericalError, SolverFailure, TooLarge
 
 class SeriesDiverges(NumericalError):
     """The Neumann series of ``neumann_cell_solve`` does not converge."""
+
+
+def traced_peak(fn):
+    """Result of fn() and the peak bytes it allocated above what was live before."""
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        out = fn()
+        return out, tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
 
 
 def convolve_oracle(f: df.SpectralField, g: df.SpectralField) -> df.SpectralField:

@@ -2,7 +2,6 @@
 
 import math
 import struct
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,7 +11,7 @@ from dynamo import bloch
 from dynamo import fields as df
 from dynamo import modal
 from dynamo.errors import BandBroken, ConfigError, NotConcentrated, SolverFailure, TooLarge
-from support import dense_eigenvalues
+from support import dense_eigenvalues, traced_peak
 
 DELTA0 = 0.3
 J_STAR = np.array([0.0, 0.0, 0.045])
@@ -242,18 +241,6 @@ class TestSynthesize:
             assert run[2:] == runs[0][2:]
 
 
-def _traced_peak(fn):
-    """Result of fn() and the peak bytes it allocated above what was live before."""
-    tracemalloc.start()
-    try:
-        tracemalloc.reset_peak()
-        base = tracemalloc.get_traced_memory()[0]
-        out = fn()
-        return out, tracemalloc.get_traced_memory()[1] - base
-    finally:
-        tracemalloc.stop()
-
-
 class TestVolumeMemory:
     """Synthesis builds one output-sized volume; the sampled mass adds a sixth of it."""
 
@@ -263,7 +250,7 @@ class TestVolumeMemory:
                                  [df.random_complex_field(1, rng=rng) for _ in range(3)])
 
     def test_family_synthesis_peak(self, rng):
-        vol, peak = _traced_peak(lambda: bloch.synthesize(self._family(rng), 3.0, 0.1))
+        vol, peak = traced_peak(lambda: bloch.synthesize(self._family(rng), 3.0, 0.1))
         assert vol.values.shape == (61, 61, 61, 3)
         assert peak <= 1.25 * vol.values.nbytes + 2**20
 
@@ -271,13 +258,13 @@ class TestVolumeMemory:
     def test_constant_band_synthesis_peak(self, paired):
         band = bloch.ConstantBand(np.array([1.0, 0.5j, -0.25]), np.array([0.5, 0.4, 0.3]), 0.1,
                                   paired=paired)
-        vol, peak = _traced_peak(lambda: band.synthesize(3.0, 0.1))
+        vol, peak = traced_peak(lambda: band.synthesize(3.0, 0.1))
         assert vol.values.dtype == np.complex128
         assert peak <= 1.25 * vol.values.nbytes + 2**20
 
     def test_sampled_box_mass_peak(self, rng):
         vol = bloch.synthesize(self._family(rng), 3.0, 0.1)
-        _, peak = _traced_peak(lambda: bloch.sampled_box_mass(vol))
+        _, peak = traced_peak(lambda: bloch.sampled_box_mass(vol))
         assert peak <= 0.25 * vol.values.nbytes
 
 

@@ -27,6 +27,7 @@ from support import (
     leading_eigs_oracle,
     operator_oracle,
     stencil_oracle,
+    traced_peak,
 )
 
 DELTA0 = 0.05
@@ -34,6 +35,15 @@ DELTA0 = 0.05
 
 def small_abc(d0=DELTA0):
     return df.make_abc(df.AbcParams(d0, d0, d0))
+
+
+# the flow and shift that benchmark workload seed 1 draws
+WORKLOAD_ABC = (0.3007092974820154, 0.32702782177955614, 0.27864957676317803)
+WORKLOAD_J = np.array([-0.037485355963641796, 0.026042588041530132, 0.012839977657633369])
+
+
+def workload_flow():
+    return df.make_abc(df.AbcParams(*WORKLOAD_ABC))
 
 
 def count_factorizations(monkeypatch) -> dict:
@@ -320,6 +330,12 @@ class TestLeadingEigs:
         assert abs(tm.p - np.conj(tp.p)) < 1e-10
         assert (tm.field - tp.field.conjugate()).l2() < 1e-6
 
+    @pytest.mark.parametrize("sigma", [np.nan, np.inf, complex(0.0, np.inf), complex(0.1, np.nan)])
+    def test_non_finite_shift_rejected(self, sigma):
+        spec = dm.ModalOperatorSpec(small_abc(0.3), np.array([0.0, 0.0, 0.045]), 1.0, 1)
+        with pytest.raises(ConfigError):
+            dm.leading_eigs(spec, count=2, sigma=sigma)
+
     def test_count_above_dim_minus_two_rejected(self):
         spec = dm.ModalOperatorSpec(small_abc(), np.zeros(3), 1.0, 1)
         assert len(dm.leading_eigs(spec, count=spec.dim - 2)) == spec.dim - 2
@@ -435,6 +451,19 @@ class TestRieszProjector:
         with pytest.raises(ConfigError):
             dm.Contour(0.0, 0.5, 4)
 
+    @pytest.mark.parametrize("center", [np.nan, np.inf, -np.inf, complex(0.0, np.inf), complex(np.nan, 0.0)])
+    def test_non_finite_center_rejected(self, center):
+        with pytest.raises(ConfigError):
+            dm.Contour(center, 0.5, 16)
+
+    @pytest.mark.parametrize("nodes", [8.5, 16.0, np.nan, "16"])
+    def test_non_integral_nodes_rejected(self, nodes):
+        with pytest.raises(ConfigError):
+            dm.Contour(0.0, 0.5, nodes)
+
+    def test_integer_nodes_of_any_integer_type(self):
+        assert dm.Contour(0.0, 0.5, np.int64(16)).points()[0].size == 16
+
 
 class TestCount:
     @pytest.mark.parametrize("flow, j, contour, want", [
@@ -463,6 +492,36 @@ class TestCount:
         lam = dense_eigenvalues(spec)[0]
         with pytest.raises(ContourTouchesSpectrum):
             dm._count(dm._Resolvent(spec), dm.Contour(lam - 0.1 + 1e-15, 0.1, 16))
+
+    def test_phase_read_once_and_factor_released(self, monkeypatch):
+        spec = dm.ModalOperatorSpec(small_abc(0.3), np.array([0.0, 0.0, 0.045]), 1.0, 2)
+        res = dm._Resolvent(spec)
+        factorizations = count_factorizations(monkeypatch)
+        # the (-1, 0.3) circle doubles from 8 to 16 nodes
+        assert dm._count(res, dm.Contour(-1.0, 0.3, 8)) == 17
+        assert factorizations == {"lu_factor": 0, "splu": 16}
+        assert not res._lus
+        assert dm._count(res, dm.Contour(-1.0, 0.3, 8)) == 17
+        assert dm._count(res, dm.Contour(-1.0, 0.3, 16)) == 17
+        assert factorizations == {"lu_factor": 0, "splu": 16}
+
+    def test_phase_matches_the_dense_determinant(self):
+        spec = dm.ModalOperatorSpec(small_abc(0.3), np.array([0.0, 0.0, 0.045]), 1.0, 1)
+        a = dm.assemble_dense(spec)
+        d = np.diag(a)
+        res = dm._Resolvent(spec)
+        for mu in (0.5, 0.3 + 0.4j, -0.2j):
+            sign, _ = np.linalg.slogdet(mu * np.eye(spec.dim) - a)
+            want = np.angle(sign) - np.sum(np.angle(mu - d))
+            assert np.angle(np.exp(1j * (res.phase(mu) - want))) == pytest.approx(0.0, abs=1e-9)
+
+    @pytest.mark.xfail(strict=True, reason="an eigenvalue on a diagonal entry of L near the circle "
+                                           "folds its 2 pi phase sweep into small steps")
+    @pytest.mark.parametrize("radius, dense", [(3.144984, 80), (3.006043, 74)])
+    def test_coincident_diagonal_entry_near_the_circle(self, radius, dense):
+        spec = dm.ModalOperatorSpec(workload_flow(), WORKLOAD_J, 1.0, 1)
+        assert np.sum(np.abs(dense_eigenvalues(spec)) < radius) == dense
+        assert dm._count(dm._Resolvent(spec), dm.Contour(0.0, radius, 8)) == dense
 
 
 def test_production_paths_use_no_dense_eigensolver(monkeypatch, tmp_path):
@@ -623,7 +682,34 @@ def test_every_modal_factorization_is_the_resolvents(monkeypatch):
     assert set(callers) == {dm._Resolvent.factor.__code__}
 
 
+class TestProjectorMemory:
+    """A count releases each node's factor with the CSC copies of L and U that reading U builds."""
+
+    def test_riesz_projector_peak(self):
+        spec = dm.ModalOperatorSpec(workload_flow(), np.zeros(3), 1.0, 2)
+        p, peak = traced_peak(lambda: dm.RieszProjector(spec, dm.Contour(0.0, 0.5, 16)))
+        assert p.contour.nodes == 32 and p.rank_estimate == 3
+        assert peak <= 2 * 2**20
+
+    def test_projector_distance_bound_peak(self):
+        s0 = dm.ModalOperatorSpec(workload_flow(), WORKLOAD_J, 1.0, 2)
+        s1 = dm.ModalOperatorSpec(workload_flow(), WORKLOAD_J, 0.96, 2)
+        comp, peak = traced_peak(lambda: dm.projector_distance_bound(s0, s1, dm.Contour(0.0, 0.5, 8)))
+        assert comp.rank0 == comp.rank1 == 3
+        assert peak <= 2 * 2**20
+
+
 class TestProjectorDistance:
+    def test_factors_each_node_once(self, monkeypatch):
+        u = small_abc(0.3)
+        j = np.array([0.0, 0.0, 0.045])
+        factorizations = count_factorizations(monkeypatch)
+        comp = dm.projector_distance_bound(dm.ModalOperatorSpec(u, j, 1.0, 2), dm.ModalOperatorSpec(u, j, 0.97, 2),
+                                           dm.Contour(0.0, 0.5, 8))
+        assert comp.rank0 == comp.rank1 == 3
+        # 8 nodes for each operator: the norms, the distance and the counts share them
+        assert factorizations == {"lu_factor": 0, "splu": 16}
+
     def test_identical_operators(self):
         spec = dm.ModalOperatorSpec(small_abc(), np.zeros(3), 1.0, 2)
         comp = dm.projector_distance_bound(spec, spec, dm.Contour(0.0, 0.5, 16))
