@@ -383,8 +383,6 @@ def _add_flow(p: argparse.ArgumentParser) -> None:
     p.add_argument("--abc", help="flow amplitudes a,b,c")
     p.add_argument("--flow-file", help="spectral field snapshot to load instead")
     p.add_argument("--delta0", type=float, default=1.0, help="amplitude factor")
-    p.add_argument("--truncation", type=int, default=None)
-    p.add_argument("--tol", type=float, default=1e-12)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -395,21 +393,26 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"dynamo {__version__}")
     groups = parser.add_subparsers(dest="group", required=True)
 
-    def sub(owner, name, func, flow=True):
+    def sub(owner, name, func, flow=True, truncation=True, tol=False):
+        # only the options the subcommand reads, so a stray one exits 2
         p = owner.add_parser(name)
         _add_common(p)
         if flow:
             _add_flow(p)
+        if truncation:
+            p.add_argument("--truncation", type=int, default=None)
+        if tol:
+            p.add_argument("--tol", type=float, default=1e-12, help="cell-problem tolerance")
         p.set_defaults(func=func)
         return p
 
     field = groups.add_parser("field").add_subparsers(dest="action", required=True)
-    sub(field, "make-abc", _cmd_field_make_abc)
+    sub(field, "make-abc", _cmd_field_make_abc, truncation=False)
 
     a = groups.add_parser("alpha").add_subparsers(dest="action", required=True)
-    p = sub(a, "matrix", _cmd_alpha_matrix)
+    p = sub(a, "matrix", _cmd_alpha_matrix, tol=True)
     p.add_argument("--j", required=True, help="direction jx,jy,jz")
-    p = sub(a, "scan", _cmd_alpha_scan)
+    p = sub(a, "scan", _cmd_alpha_scan, tol=True)
     p.add_argument("--directions", default="icosphere",
                    choices=("icosphere", "axes", "grid"))
     p.add_argument("--threshold", type=float, default=1e-8)
@@ -419,7 +422,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--j", required=True, help="wavevector jx,jy,jz")
     p.add_argument("--eps", type=float, default=1.0)
     p.add_argument("--count", type=int, default=6)
-    p = sub(s, "kato", _cmd_spectrum_kato)
+    p = sub(s, "kato", _cmd_spectrum_kato, tol=True)
     p.add_argument("--jmags", required=True, help="decreasing magnitudes m1,m2,...")
     p.add_argument("--direction", default="0,0,1")
 
@@ -451,7 +454,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--num", type=int, default=16)
 
     g = groups.add_parser("glue").add_subparsers(dest="action", required=True)
-    p = sub(g, "build", _cmd_glue_build)
+    p = sub(g, "build", _cmd_glue_build, truncation=False)
     p.add_argument("--zeta", type=float, default=0.9)
     p.add_argument("--ufrak", type=float, default=10.0)
     p.add_argument("--n-max", type=int, default=3)
@@ -459,7 +462,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--margin", type=float, default=0.25)
     p.add_argument("--tail-coefficient", type=float, required=True)
     p.add_argument("--tail-valid-from", type=float, default=1.0)
-    p = sub(g, "check", _cmd_glue_check, flow=False)
+    p = sub(g, "check", _cmd_glue_check, flow=False, truncation=False)
     p.add_argument("--catalog", required=True, help="catalog snapshot path")
     p.add_argument("--eps-samples", default="", help="diffusivities e1,e2,...")
 

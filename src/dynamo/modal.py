@@ -12,9 +12,10 @@ three-dimensional kernel spanned by v + S(v) with S the cell corrector
 with |j| at rates given by the alpha matrix.
 
 This module builds the Galerkin matrix of L on the cubic mode lattice as
-one sparse stencil over the flow's nonzero modes.  Its pattern, the CSR
-indices with the flow's cross-product blocks, depends only on the flow and
-the truncation; it is built once and each (j, eps) fills in the values.
+one sparse stencil over the flow's nonzero modes.  Its structure, where
+the entries sit, depends only on the truncation and the flow's nonzero
+modes; with the flow's cross-product blocks it forms the pattern, built
+once per flow, and each (j, eps) fills in the values.
 The dense matrix (capped at DENSE_CAP, for test oracles), every residual,
 the cell solve in alpha and the time stepper in evolve all come from it;
 ``apply_modal``, an independent matrix-free FFT apply, is the reference
@@ -28,7 +29,10 @@ comparison bound used to certify rank stability.
 One resolvent object per operator forms mu I - L and factors it by sparse
 LU: at sigma for the eigensolver, and once per contour node, reused across
 node doublings, repeated contour sums and shared eps grid points, with a
-condition estimate that catches nodes too close to the spectrum.  An
+condition estimate that catches nodes too close to the spectrum.  SuperLU's
+fill-reducing ordering is computed once per stencil structure; each mu then
+costs a fill of the values into the structure's permuted layout, mu added
+on its diagonal slots, and a numeric LU in that fixed order.  An
 eigenvalue count reads each node's determinant phase once and releases that
 node's factor, so it runs after the solves on the same nodes.  The
 comparison bound takes exact 2-norms by Lanczos on the same factors.  The
@@ -116,39 +120,36 @@ def apply_modal(spec: ModalOperatorSpec, h: df.SpectralField) -> df.SpectralFiel
     return df.SpectralField(adv + diff, kind="complex")
 
 
-class _Pattern:
-    """Sparsity of the stencil of one flow at one truncation, in CSR order.
+class _Structure:
+    """Where the stencil of truncation n keeps its entries, for a flow whose nonzero modes are ``modes``.
 
     The stencil puts the diagonal at every row and the block
     left(k) . [U(d)]_x at (row k, col k - d) for every nonzero flow mode d,
     so a row holds at most 3 x (number of modes) + 1 entries whatever the
-    truncation.  The pattern keeps the lattice row k and the matrix
-    [U(d)]_x of every block, and the permutation from the entry order
-    (diagonal, then the blocks mode by mode) to CSR order; ``fill`` only
-    multiplies the blocks.
+    truncation.  The structure keeps the lattice row k of every block, the
+    number of blocks of each mode, the permutation from the entry order
+    (diagonal, then the blocks mode by mode) to CSR order, and the CSR
+    indices.  It depends on the flow only through its nonzero modes, so
+    flows of one support share it, and so does every (j, eps).
     """
 
-    def __init__(self, flow: df.SpectralField, n: int):
+    def __init__(self, n: int, modes: tuple[tuple[int, int, int], ...]):
         self.side = side = 2 * n + 1
-        size = 3 * side**3
+        self.size = size = 3 * side**3
         idx = np.arange(side)
         axis3 = np.arange(3)
-        lattice, crosses = [np.zeros(0, dtype=int)], [np.zeros((0, 3, 3), dtype=np.complex128)]
+        lattice = [np.zeros(0, dtype=int)]
         rows, cols = [np.arange(size)], [np.arange(size)]
-        for d in itertools.product(df.mode_range(flow.truncation), repeat=3):
-            ud = flow.coeff(d)
-            if not np.any(ud):
-                continue
+        for d in modes:
             r1, r2, r3 = (idx[max(0, di): side + min(0, di)] for di in d)
             rr = ((r1[:, None, None] * side + r2[None, :, None]) * side + r3[None, None, :]).reshape(-1)
             cc = rr - (d[0] * side + d[1]) * side - d[2]
             shape = (rr.size, 3, 3)
             lattice.append(rr)
-            crosses.append(np.broadcast_to(df._cross_matrix(ud), shape))
             rows.append(np.broadcast_to((3 * rr)[:, None, None] + axis3[:, None], shape).reshape(-1))
             cols.append(np.broadcast_to((3 * cc)[:, None, None] + axis3, shape).reshape(-1))
+        self.blocks_per_mode = [rr.size for rr in lattice[1:]]
         self.lattice = np.concatenate(lattice)
-        self.crosses = np.concatenate(crosses)
         rows, cols = np.concatenate(rows), np.concatenate(cols)
         self.order = np.lexsort((cols, rows))
         rows, cols = rows[self.order], cols[self.order]
@@ -157,26 +158,62 @@ class _Pattern:
         # a mean-free flow may still carry a tiny U(0), whose block lands on the diagonal
         self.duplicates = bool(np.any((np.diff(rows) == 0) & (np.diff(cols) == 0)))
 
+    @functools.cached_property
+    def layout(self) -> _Layout:
+        """The fill-reducing order and resolvent layout, made on first use: one ordering per structure."""
+        return _Layout(self)
+
+
+@functools.lru_cache(maxsize=4)
+def _structure(n: int, modes: tuple[tuple[int, int, int], ...]) -> _Structure:
+    """The structure of (n, modes), kept for the few used last: one per truncation in a run on one flow."""
+    return _Structure(n, modes)
+
+
+class _Pattern:
+    """The stencil of one flow at one truncation: its structure and the matrix [U(d)]_x of every block.
+
+    ``entries`` only multiplies the blocks, ``assemble`` puts them in CSR
+    order, and ``fill`` does both.
+    """
+
+    def __init__(self, flow: df.SpectralField, n: int):
+        modes = tuple(d for d in itertools.product(df.mode_range(flow.truncation), repeat=3) if np.any(flow.coeff(d)))
+        self.structure = s = _structure(n, modes)
+        crosses = np.array([df._cross_matrix(flow.coeff(d)) for d in modes], dtype=np.complex128).reshape(-1, 3, 3)
+        self.crosses = np.repeat(crosses, s.blocks_per_mode, axis=0)
+
+    def entries(self, left: np.ndarray, diag: np.ndarray) -> np.ndarray:
+        """The diagonal diag, then the blocks left(k) . [U(d)]_x, in the structure's entry order.
+
+        ``left`` broadcasts to one 3 x 3 matrix per lattice mode.
+        """
+        s = self.structure
+        left = np.broadcast_to(left, (s.side,) * 3 + (3, 3)).reshape(-1, 3, 3)
+        return np.concatenate((diag, (left[s.lattice] @ self.crosses).reshape(-1)))
+
     def fill(self, left: np.ndarray, diag: np.ndarray) -> sp.csr_array:
         """Sparse matrix with diagonal diag plus blocks left(k) . [U(d)]_x.
 
-        ``left`` broadcasts to one 3 x 3 matrix per lattice mode.  Exact
-        zeros are dropped, so a node with a zero shift component stores
-        fewer entries than the pattern holds.
+        Exact zeros are dropped, so a node with a zero shift component
+        stores fewer entries than the pattern holds.
         """
-        left = np.broadcast_to(left, (self.side,) * 3 + (3, 3)).reshape(-1, 3, 3)
-        blocks = left[self.lattice] @ self.crosses
-        data = np.concatenate((diag, blocks.reshape(-1)))[self.order]
+        return self.assemble(self.entries(left, diag))
+
+    def assemble(self, entries: np.ndarray) -> sp.csr_array:
+        """The CSR matrix of ``entries``, exact zeros dropped and duplicates summed."""
+        s = self.structure
+        data = entries[s.order]
         keep = data != 0
         if keep.all():
             # the matrix owns its index arrays: sum_duplicates, or any caller,
-            # compacting them in place must not reach the cached pattern
-            indices, indptr = self.indices.copy(), self.indptr.copy()
+            # compacting them in place must not reach the cached structure
+            indices, indptr = s.indices.copy(), s.indptr.copy()
         else:
-            data, indices = data[keep], self.indices[keep]
-            indptr = np.concatenate(([0], np.cumsum(keep)))[self.indptr]
-        out = sp.csr_array((data, indices, indptr), shape=(diag.size, diag.size))
-        if self.duplicates:
+            data, indices = data[keep], s.indices[keep]
+            indptr = np.concatenate(([0], np.cumsum(keep)))[s.indptr]
+        out = sp.csr_array((data, indices, indptr), shape=(s.size, s.size))
+        if s.duplicates:
             out.sum_duplicates()
         return out
 
@@ -192,11 +229,18 @@ def _pattern(flow: df.SpectralField, n: int) -> _Pattern:
     return _Pattern(flow, n)
 
 
-def _operator(spec: ModalOperatorSpec) -> sp.csr_array:
-    """Sparse Galerkin matrix of L on the flattened coefficient vector."""
+def _entries(spec: ModalOperatorSpec) -> tuple[_Pattern, np.ndarray]:
+    """The pattern of the operator's flow and the entries of L in its entry order."""
     kappa = spec.shifted_wavevectors()
     diag = np.repeat(-spec.eps * np.sum(kappa * kappa, axis=-1).reshape(-1), 3).astype(np.complex128)
-    return _pattern(spec.flow, spec.truncation).fill(df._cross_matrix(1j * kappa), diag)
+    pattern = _pattern(spec.flow, spec.truncation)
+    return pattern, pattern.entries(df._cross_matrix(1j * kappa), diag)
+
+
+def _operator(spec: ModalOperatorSpec) -> sp.csr_array:
+    """Sparse Galerkin matrix of L on the flattened coefficient vector."""
+    pattern, entries = _entries(spec)
+    return pattern.assemble(entries)
 
 
 def assemble_dense(spec: ModalOperatorSpec) -> np.ndarray:
@@ -274,13 +318,16 @@ def leading_eigs(
     if not cmath.isfinite(sigma):
         raise ConfigError(f"shift sigma must be finite, got {sigma}")
     res = _Resolvent(spec)
-    v0 = np.random.default_rng(seed).standard_normal(spec.dim) + 0.0j
+    # the seed fixes the start vector and any restart vector ARPACK draws
+    # after a breakdown, which scipy would otherwise take from OS entropy
+    rng = np.random.default_rng(seed)
+    v0 = rng.standard_normal(spec.dim) + 0.0j
     try:
         # no condition gate: continue_in_eps puts sigma on an eigenvalue on purpose;
         # (L - sigma I)^-1 = -(sigma I - L)^-1 exactly, as negation does not round
         lu = res.factor(sigma)[0]
         opinv = spla.LinearOperator(res.matrix.shape, matvec=lambda x: -lu.solve(x), dtype=np.complex128)
-        vals, vecs = spla.eigs(res.matrix, k=count, sigma=sigma, which="LM", v0=v0, OPinv=opinv)
+        vals, vecs = spla.eigs(res.matrix, k=count, sigma=sigma, which="LM", v0=v0, OPinv=opinv, rng=rng)
     except RuntimeError as exc:  # no convergence, or sigma exactly singular
         raise EigsFailed(f"shift-invert Arnoldi failed: {exc}") from exc
     order = eig_order(vals)
@@ -313,7 +360,7 @@ class Contour:
         return self.center + self.radius * np.exp(1j * theta), np.exp(1j * theta)
 
 
-def _inv_norm1(lu: spla.SuperLU, dim: int) -> float:
+def _inv_norm1(lu: _NodeFactor, dim: int) -> float:
     """Lower estimate of ||A^-1||_1 from a sparse LU of A.
 
     The deterministic Hager-Higham iteration of LAPACK's zlacn2, the
@@ -345,41 +392,109 @@ def _inv_norm1(lu: spla.SuperLU, dim: int) -> float:
     return max(est, 2.0 * float(np.sum(np.abs(x))) / (3 * dim))
 
 
+class _Layout:
+    """SuperLU's fill-reducing order for one stencil structure and the CSC layout of P^T (mu I - L) P.
+
+    A real flow has its modes in pairs +-d, so the stencil is close to
+    structurally symmetric and minimum degree on A^T + A fills least.
+    MMD_AT_PLUS_A reads only where the entries are, so one ``splu`` of a
+    diagonally dominant matrix on the structure gives the column order
+    perm_c that it would compute for every mu I - L.  With P the
+    permutation of argsort(perm_c), A P = A[:, argsort(perm_c)], the
+    symmetrically permuted P^T A P factored in its natural order fills
+    exactly as A does in SuperLU's own ordering, and its diagonal is A's,
+    which SuperLU's pivoting prefers (permuting by perm_c itself, the
+    inverse, fills 2.5 times more at N = 2).  The layout keeps the CSC
+    indices of P^T A P as int32, the index type SuperLU takes, the stencil
+    entry each slot holds (the duplicates a tiny U(0) puts on the diagonal
+    summed, as ``sum_duplicates`` sums them) and the diagonal slots.  Every
+    entry of the structure has a slot, so a value that a node makes zero
+    stays an explicit zero and every node factors one pattern.
+    """
+
+    def __init__(self, s: _Structure):
+        rows = np.repeat(np.arange(s.size), np.diff(s.indptr))
+        first = np.ones(rows.size, dtype=bool)  # the first of each run of duplicates in CSR order
+        first[1:] = (np.diff(rows) != 0) | (np.diff(s.indices) != 0)
+        rows, cols = rows[first], s.indices[first]
+        self.order = s.order
+        self.starts = np.flatnonzero(first) if s.duplicates else None
+        dominant = np.where(rows == cols, float(s.size), 1.0)
+        probe = sp.csc_array(sp.coo_array((dominant, (rows, cols)), shape=(s.size, s.size)))
+        self.perm_c = spla.splu(probe, permc_spec="MMD_AT_PLUS_A").perm_c
+        self.perm = np.argsort(self.perm_c)
+        prow, pcol = self.perm_c[rows], self.perm_c[cols]
+        self.source = np.lexsort((prow, pcol))
+        self.indices = prow[self.source].astype(np.int32)
+        self.indptr = np.searchsorted(pcol[self.source], np.arange(s.size + 1)).astype(np.int32)
+        self.diagonal = np.flatnonzero(self.indices == pcol[self.source])
+        for a in (self.perm_c, self.perm, self.source, self.indices, self.indptr, self.diagonal):
+            # every node's matrix holds these index arrays: nothing may compact them in place
+            a.flags.writeable = False
+
+    def values(self, entries: np.ndarray) -> np.ndarray:
+        """Stencil entries, in the structure's entry order, as values in the layout's slots."""
+        vals = entries[self.order]
+        if self.starts is not None:
+            vals = np.add.reduceat(vals, self.starts)
+        return vals[self.source]
+
+
+@dataclass(frozen=True, eq=False)
+class _NodeFactor:
+    """The sparse LU of P^T A P, solving with A: A^-1 b = P (P^T A P)^-1 P^T b, and likewise with A^H."""
+
+    superlu: spla.SuperLU
+    layout: _Layout
+
+    def solve(self, b: np.ndarray, trans: str = "N") -> np.ndarray:
+        return self.superlu.solve(b[self.layout.perm], trans)[self.layout.perm_c]
+
+
 class _Resolvent:
     """The stencil of one operator and the sparse LUs of mu I - L.
 
     The one place that shifts and factors the stencil: ``factor`` serves any
-    mu, the eigensolver's sigma included, and ``lu`` adds the quadrature
-    nodes' condition gate and keeps each node's factor.  The trapezoid nodes
-    of n points are bitwise the even nodes of 2n points, so a contour whose
-    node count doubles reuses every factor made so far.  ``phase`` reads a
-    node's determinant phase once, keeps that number and releases the node's
-    factor: reading U makes SuperLU build and keep CSC copies of L and U, so
-    a kept factor would hold them for as long as it lives.  Callers therefore
-    count after their solves on the same nodes.  The cell solve in alpha
-    still factors its own restricted matrix.
+    mu, the eigensolver's sigma included.  It writes -L into the layout of
+    the stencil's structure, adds mu on the diagonal slots and factors in
+    the structure's fill-reducing order, which SuperLU computes once per
+    structure, so each mu costs a value fill and a numeric LU.  ``lu`` adds
+    the quadrature nodes' condition gate and keeps each node's factor.  The
+    trapezoid nodes of n points are bitwise the even nodes of 2n points, so
+    a contour whose node count doubles reuses every factor made so far.
+    ``phase`` reads a node's determinant phase once, keeps that number and
+    releases the node's factor: reading U makes SuperLU build and keep CSC
+    copies of L and U, so a kept factor would hold them for as long as it
+    lives.  Callers therefore count after their solves on the same nodes.
+    The cell solve in alpha still factors its own restricted matrix.
     """
 
     def __init__(self, spec: ModalOperatorSpec):
-        self.matrix = _operator(spec).tocsc()
-        self._lus: dict[complex, spla.SuperLU] = {}
+        pattern, entries = _entries(spec)
+        self.matrix = pattern.assemble(entries)
+        self._layout = pattern.structure.layout
+        self._negated = -self._layout.values(entries)
+        self._lus: dict[complex, _NodeFactor] = {}
         self._phases: dict[complex, float] = {}
 
-    def factor(self, mu: complex) -> tuple[spla.SuperLU, sp.csc_array]:
-        """Sparse LU of mu I - L, and mu I - L itself."""
-        m = sp.csc_array(mu * sp.eye_array(self.matrix.shape[0], dtype=np.complex128, format="csc") - self.matrix)
+    def factor(self, mu: complex) -> tuple[_NodeFactor, np.ndarray]:
+        """Sparse LU of mu I - L, and the values of mu I - L in the structure's layout."""
+        layout = self._layout
+        data = self._negated.copy()
+        data[layout.diagonal] += mu
+        m = sp.csc_array((data, layout.indices, layout.indptr), shape=self.matrix.shape)
         try:
-            # a real flow has its modes in pairs +-d, so the stencil is close
-            # to structurally symmetric: minimum degree on A^T + A fills least
-            return spla.splu(m, permc_spec="MMD_AT_PLUS_A"), m
+            return _NodeFactor(spla.splu(m, permc_spec="NATURAL"), layout), data
         except RuntimeError as exc:  # exactly singular pivot
             raise ContourTouchesSpectrum(f"resolvent singular at {mu:.6g}: {exc}") from exc
 
-    def lu(self, mu: complex) -> spla.SuperLU:
+    def lu(self, mu: complex) -> _NodeFactor:
         """The factor at a quadrature node, made on first use; a node too close to the spectrum raises."""
         if mu not in self._lus:
-            lu, m = self.factor(mu)
-            rcond = 1.0 / (float(abs(m).sum(axis=0).max()) * _inv_norm1(lu, m.shape[0]))
+            lu, data = self.factor(mu)
+            # ||mu I - L||_1, the largest column sum, which the symmetric permutation only reorders
+            norm1 = float(np.add.reduceat(np.abs(data), self._layout.indptr[:-1]).max())
+            rcond = 1.0 / (norm1 * _inv_norm1(lu, self.matrix.shape[0]))
             if rcond < 1e-14:
                 raise ContourTouchesSpectrum(f"resolvent nearly singular at node {mu:.6g} (rcond {rcond:.2e})")
             self._lus[mu] = lu
@@ -388,13 +503,14 @@ class _Resolvent:
     def phase(self, mu: complex) -> float:
         """Phase of det(mu I - L) / det(mu I - D) at a node, D the diagonal of L; releases the node's factor.
 
-        With Pr A Pc = L U the sparse LU of A = mu I - L, the phase of det A
-        is sum arg diag(U) + pi (parity(Pr) + parity(Pc)).  The factor comes
+        With Pr A Pc = L U the sparse LU of A = P^T (mu I - L) P, whose
+        determinant is det(mu I - L), the phase is
+        sum arg diag(U) + pi (parity(Pr) + parity(Pc)).  The factor comes
         from ``lu``, so the condition gate holds; a later solve at this node
         factors it anew.
         """
         if mu not in self._phases:
-            lu = self.lu(mu)
+            lu = self.lu(mu).superlu
             self._phases[mu] = (np.sum(np.angle(lu.U.diagonal())) - np.sum(np.angle(mu - self.matrix.diagonal()))
                                 + np.pi * (_parity(lu.perm_r) + _parity(lu.perm_c)))
             del self._lus[mu]
@@ -748,15 +864,24 @@ def eps_lipschitz(
     """Estimate sup ||d/d eps of P(eps) H_ref|| over [eps_lo, eps_hi].
 
     The same fixed contour is used at every eps, matching the construction
-    whose Lipschitz continuity the estimate is meant to quantify.
+    whose Lipschitz continuity the estimate is meant to quantify.  The step
+    must be positive and finite and leave at least two step-grid points in
+    [eps_lo, eps_hi].
     """
-    x = field_to_vec(df.resize(reference, truncation))[:, None]
+    if not (step > 0.0 and math.isfinite(step)):
+        raise ConfigError(f"eps step must be positive and finite, got {step}")
+    if not (math.isfinite(eps_lo) and math.isfinite(eps_hi) and eps_lo < eps_hi):
+        raise ConfigError(f"need finite eps_lo < eps_hi, got [{eps_lo}, {eps_hi}]")
     # both grids are indexed by integer, so the step grid is exactly the even
     # points of the half-step grid and shares its projected images; the
     # point counts are those of np.arange(eps_lo, eps_hi + 1e-12, h)
     half = step / 2.0
+    points = math.ceil((eps_hi + 1e-12 - eps_lo) / half)
+    if points < 3:
+        raise ConfigError(f"eps step {step} leaves fewer than 2 step-grid points in [{eps_lo}, {eps_hi}]")
+    x = field_to_vec(df.resize(reference, truncation))[:, None]
     imgs = [_contour_sum(_Resolvent(ModalOperatorSpec(flow, j, eps_lo + i * half, truncation)), contour, x)[:, 0]
-            for i in range(math.ceil((eps_hi + 1e-12 - eps_lo) / half))]
+            for i in range(points)]
 
     def path_constant(pts: list[np.ndarray], h: float) -> float:
         return float(max(np.linalg.norm(b - a) / h for a, b in zip(pts, pts[1:])))

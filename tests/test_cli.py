@@ -377,6 +377,35 @@ class TestConfigAndEnvironment:
         assert code == 0
         assert manifest["config"]["delta0"] == 0.3
 
+    @pytest.mark.parametrize("args", [
+        ["field", "make-abc", "--abc", "0.3,0.3,0.3", "--truncation", "7", "--tol", "-5"],
+        ["field", "make-abc", "--abc", "0.3,0.3,0.3", "--truncation", "7"],
+        ["glue", "build", "--abc", "0.3,0.3,0.3", "--tail-coefficient", "1", "--truncation", "9", "--tol", "nan"],
+        ["bloch", "parseval", "--abc", "1,1,1", "--delta0", "0.3", "--j-star", "0.11,0,0", "--half-width", "0.05",
+         "--truncation", "1", "--nodes-per-axis", "2", "--r-max", "10", "--tol", "nan"],
+        ["spectrum", "eigs", "--abc", "1,1,1", "--delta0", "0.3", "--j", "0,0,0.045", "--truncation", "1",
+         "--tol", "1e-10"],
+    ])
+    def test_option_the_subcommand_ignores_exits_2(self, tmp_path, args, capsys):
+        # --tol only where a cell problem is solved, --truncation only where a stencil is built
+        with pytest.raises(SystemExit) as exc:
+            run(args, tmp_path)
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_config_keys_of_other_subcommands_still_accepted(self, tmp_path):
+        # a config file may serve several subcommands: keys are checked against all of them
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"tol": 1e-10, "truncation": 1, "j": "0,0,0.045"}))
+        code, out, manifest = run(["field", "make-abc", "--abc", "0.3,0.3,0.3", "--config", str(cfg)], tmp_path)
+        assert code == 0
+        assert "tol" not in manifest["config"] and "truncation" not in manifest["config"]
+        code, out, manifest = run(["spectrum", "kato", "--abc", "1,1,1", "--delta0", "0.3", "--jmags", "0.02,0.01",
+                                   "--config", str(cfg)], tmp_path, "kato")
+        assert code == 0
+        assert manifest["config"]["tol"] == 1e-10 and manifest["config"]["truncation"] == 1
+
     def test_unknown_config_key_exits_2(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"j": "1,0,0", "detla0": 0.05}))

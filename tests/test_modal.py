@@ -5,6 +5,7 @@ import sys
 import numpy as np
 import pytest
 import scipy.linalg as la
+import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from hypothesis import given, settings, strategies as st
 
@@ -47,14 +48,27 @@ def workload_flow():
 
 
 def count_factorizations(monkeypatch) -> dict:
-    """Count dense and sparse LU factorizations from here on; refuse dense assembly."""
-    counts = {"lu_factor": 0, "splu": 0}
-    for module, name in ((la, "lu_factor"), (spla, "splu")):
-        def counted(*args, _name=name, _orig=getattr(module, name), **kwargs):
-            counts[_name] += 1
-            return _orig(*args, **kwargs)
+    """Count factorizations from here on: dense LUs, sparse node LUs and orderings; refuse dense assembly.
 
-        monkeypatch.setattr(module, name, counted)
+    A node LU is an ``splu`` in the natural order, an ordering the one
+    ``splu`` by minimum degree that a stencil structure makes on first use.
+    The stencil caches are emptied first, so every structure used from here
+    on makes its ordering inside the count.
+    """
+    counts = {"lu_factor": 0, "splu": 0, "ordering": 0}
+
+    def lu_factor(*args, _orig=la.lu_factor, **kwargs):
+        counts["lu_factor"] += 1
+        return _orig(*args, **kwargs)
+
+    def splu(*args, _orig=spla.splu, **kwargs):
+        counts["splu" if kwargs.get("permc_spec") == "NATURAL" else "ordering"] += 1
+        return _orig(*args, **kwargs)
+
+    monkeypatch.setattr(la, "lu_factor", lu_factor)
+    monkeypatch.setattr(spla, "splu", splu)
+    dm._pattern.cache_clear()
+    dm._structure.cache_clear()
 
     def refuse(_spec):
         raise AssertionError("contour path assembled a dense matrix")
@@ -215,9 +229,9 @@ class TestStencilPattern:
             spec = dm.ModalOperatorSpec(flow, j, 0.7, 2)
             got = dm._operator(spec)
             assert_same_csr(got, operator_oracle(spec))
-            pattern = dm._pattern(flow, 2)
-            assert not np.shares_memory(got.indices, pattern.indices)
-            assert not np.shares_memory(got.indptr, pattern.indptr)
+            structure = dm._pattern(flow, 2).structure
+            assert not np.shares_memory(got.indices, structure.indices)
+            assert not np.shares_memory(got.indptr, structure.indptr)
         dm._pattern.cache_clear()
 
     def test_band_nodes_share_one_pattern(self, monkeypatch):
@@ -235,6 +249,91 @@ class TestStencilPattern:
         dm._pattern.cache_clear()
         assert len(nodes) == 64
         assert built == [1]
+
+
+def mmd_factor(spec: dm.ModalOperatorSpec, mu: complex) -> spla.SuperLU:
+    """SuperLU's own minimum-degree LU of mu I - L, shifted by sparse arithmetic: the structure order's reference."""
+    return spla.splu(sp.csc_array(mu * sp.eye_array(spec.dim, format="csr") - operator_oracle(spec)),
+                     permc_spec="MMD_AT_PLUS_A")
+
+
+def permuted_shift(spec: dm.ModalOperatorSpec, mu: complex, perm: np.ndarray) -> np.ndarray:
+    """Dense (mu I - L)[perm][:, perm], with L from the mode-by-mode oracle."""
+    return (mu * sp.eye_array(spec.dim, format="csr") - operator_oracle(spec)).toarray()[np.ix_(perm, perm)]
+
+
+class TestStructureLayout:
+    """Each node writes -L into the layout of its structure, adds mu and factors in the structure's order."""
+
+    MU = 0.3 + 0.2j
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_fill_matches_superlus_own_ordering(self, n):
+        spec = dm.ModalOperatorSpec(workload_flow(), WORKLOAD_J, 1.0, n)
+        node = dm._Resolvent(spec).factor(self.MU)[0].superlu
+        own = mmd_factor(spec, self.MU)
+        assert node.L.nnz + node.U.nnz == own.L.nnz + own.U.nnz
+        assert np.array_equal(node.perm_c, np.arange(spec.dim))
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_solves_match_superlus_own_ordering(self, n):
+        spec = dm.ModalOperatorSpec(workload_flow(), WORKLOAD_J, 1.0, n)
+        node = dm._Resolvent(spec).factor(self.MU)[0]
+        own = mmd_factor(spec, self.MU)
+        rng = np.random.default_rng(n)
+        block = rng.standard_normal((spec.dim, 3)) + 1j * rng.standard_normal((spec.dim, 3))
+        for trans in ("N", "H"):
+            want = own.solve(block, trans)
+            assert np.max(np.abs(node.solve(block, trans) - want)) <= 1e-13 * np.max(np.abs(want))
+            assert np.max(np.abs(node.solve(block[:, 0], trans) - want[:, 0])) <= 1e-13 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_shifted_values_are_mu_minus_the_stencil(self, n):
+        spec = dm.ModalOperatorSpec(workload_flow(), WORKLOAD_J, 1.0, n)
+        self.assert_shifted_values(spec)
+
+    def test_shifted_values_with_a_tiny_mean_and_a_zero_shift_component(self):
+        c = np.array(small_abc(0.3).coeffs)
+        c[1, 1, 1] = [1e-14, -2e-14, 0.0]  # U(0) blocks share the diagonal slots
+        for flow in (df.SpectralField(c), workload_flow()):
+            for j in (np.array([0.0, 0.04, -0.02]), np.zeros(3), WORKLOAD_J):
+                kept = self.assert_shifted_values(dm.ModalOperatorSpec(flow, j, 0.9, 2))
+                if not np.all(j):
+                    # the shift zeroes entries that fill drops; the layout keeps them as explicit zeros
+                    assert kept > 0
+
+    def assert_shifted_values(self, spec) -> int:
+        """mu I - L entry for entry in the layout; returns the number of slots holding an exact zero."""
+        res = dm._Resolvent(spec)
+        layout = res._layout
+        data = res.factor(self.MU)[1]
+        assert data.size == layout.indices.size == layout.source.size
+        got = sp.csc_array((data, layout.indices, layout.indptr), shape=(spec.dim, spec.dim)).toarray()
+        assert np.array_equal(got, permuted_shift(spec, self.MU, layout.perm))
+        return int(np.sum(data == 0))
+
+    def test_exactly_singular_shift_raises(self):
+        # at j = 0 the stencil's rows of the mean mode are zero, held as explicit zeros
+        spec = dm.ModalOperatorSpec(workload_flow(), np.zeros(3), 1.0, 2)
+        res = dm._Resolvent(spec)
+        for mu in (0.0, 0j):
+            with pytest.raises(ContourTouchesSpectrum, match="singular"):
+                res.factor(mu)
+            with pytest.raises(ContourTouchesSpectrum, match="singular"):
+                res.lu(mu)
+        with pytest.raises(ContourTouchesSpectrum, match="singular"):
+            dm._Resolvent(dm.ModalOperatorSpec(df.zero_field(1), np.zeros(3), 1.0, 1)).factor(-1.0)
+
+    def test_one_ordering_per_structure(self, monkeypatch):
+        factorizations = count_factorizations(monkeypatch)
+        other = df.make_abc(df.AbcParams(0.9, 1.1, 0.5))  # the same six modes, other amplitudes
+        for n in (1, 2):
+            for flow in (workload_flow(), other, workload_flow()):
+                for j, eps in ((WORKLOAD_J, 1.0), (np.zeros(3), 0.9)):
+                    dm._Resolvent(dm.ModalOperatorSpec(flow, j, eps, n)).factor(self.MU)
+            assert dm._pattern(other, n).structure is dm._pattern(workload_flow(), n).structure
+        assert factorizations == {"lu_factor": 0, "splu": 12, "ordering": 2}
+        assert dm._structure.cache_info().currsize == 2
 
 
 class TestLeadingEigs:
@@ -315,6 +414,15 @@ class TestLeadingEigs:
                 assert np.array_equal([t.p for t in got], [t.p for t in want])
                 for g, w in zip(got, want):
                     assert np.array_equal(g.field.coeffs, w.field.coeffs)
+
+    def test_repeatable_through_an_arpack_restart(self):
+        # at j = 0 the Krylov space of this N = 1 operator becomes invariant
+        # and ARPACK draws a new start vector: from the seed, not OS entropy
+        spec = next(workload_like_specs(2))
+        first, again = dm.leading_eigs(spec, count=6), dm.leading_eigs(spec, count=6)
+        assert np.array_equal([t.p for t in first], [t.p for t in again])
+        for a, b in zip(first, again):
+            assert np.array_equal(a.field.coeffs, b.field.coeffs)
 
     def test_exactly_singular_shift_raises(self):
         # without a flow L is diagonal, with -1 on it exactly
@@ -444,8 +552,9 @@ class TestRieszProjector:
         assert p.contour.nodes == 32
         assert p.idempotency_defect <= 1e-8
         # the 16 nodes are the even nodes of the 32: 32 distinct factors,
-        # where factoring per contour sum would take 16 x 2 + 32 x 2 = 96
-        assert factorizations == {"lu_factor": 0, "splu": 32}
+        # where factoring per contour sum would take 16 x 2 + 32 x 2 = 96,
+        # all in the one order of the stencil's structure
+        assert factorizations == {"lu_factor": 0, "splu": 32, "ordering": 1}
 
     def test_too_few_nodes_rejected(self):
         with pytest.raises(ConfigError):
@@ -499,11 +608,12 @@ class TestCount:
         factorizations = count_factorizations(monkeypatch)
         # the (-1, 0.3) circle doubles from 8 to 16 nodes
         assert dm._count(res, dm.Contour(-1.0, 0.3, 8)) == 17
-        assert factorizations == {"lu_factor": 0, "splu": 16}
+        # the resolvent was made before counting, with its structure's order
+        assert factorizations == {"lu_factor": 0, "splu": 16, "ordering": 0}
         assert not res._lus
         assert dm._count(res, dm.Contour(-1.0, 0.3, 8)) == 17
         assert dm._count(res, dm.Contour(-1.0, 0.3, 16)) == 17
-        assert factorizations == {"lu_factor": 0, "splu": 16}
+        assert factorizations == {"lu_factor": 0, "splu": 16, "ordering": 0}
 
     def test_phase_matches_the_dense_determinant(self):
         spec = dm.ModalOperatorSpec(small_abc(0.3), np.array([0.0, 0.0, 0.045]), 1.0, 1)
@@ -648,6 +758,27 @@ class TestContinuation:
         assert lip.constant > 0.0
         assert lip.rel_change <= 0.2
 
+    @pytest.mark.parametrize("eps_lo, eps_hi, step", [
+        (0.9, 1.0, 0.0), (0.9, 1.0, -0.05), (0.9, 1.0, np.nan), (0.9, 1.0, np.inf),
+        (1.0, 0.9, 0.05), (0.9, 0.9, 0.05), (np.nan, 1.0, 0.05),
+        (0.9, 1.0, 0.5), (0.9, 1.0, 0.1 + 1e-9),
+    ])
+    def test_lipschitz_step_and_range_checked(self, monkeypatch, eps_lo, eps_hi, step):
+        # a step grid of fewer than 2 points has no divided difference
+        factorizations = count_factorizations(monkeypatch)
+        contour = dm.Contour(0.0, 0.02, 16)
+        with pytest.raises(ConfigError):
+            dm.eps_lipschitz(small_abc(0.3), np.array([0.0, 0.0, 0.045]), df.const_field([1.0, 0.0, 0.0], n=1),
+                             contour, eps_lo, eps_hi, 1, step)
+        assert factorizations == {"lu_factor": 0, "splu": 0, "ordering": 0}
+
+    def test_lipschitz_two_point_step_grid_accepted(self):
+        u = small_abc(0.3)
+        j = np.array([0.0, 0.0, 0.045])
+        start = dm.leading_eigs(dm.ModalOperatorSpec(u, j, 1.0, 1), count=1)[0]
+        lip = dm.eps_lipschitz(u, j, start.field, dm.Contour(complex(start.p), 0.02, 16), 0.9, 1.0, 1, 0.1)
+        assert lip.step == 0.1 and lip.constant > 0.0
+
     def test_lipschitz_grids_share_their_images(self, monkeypatch):
         u = small_abc(0.3)
         j = np.array([0.0, 0.0, 0.045])
@@ -657,18 +788,23 @@ class TestContinuation:
         lip = dm.eps_lipschitz(u, j, start.field, contour, 0.9, 1.0, 2, 0.05)
         assert lip.rel_change <= 0.2
         # the step grid {0.9, 0.95, 1.0} is the even half of the half-step
-        # grid of 5 points: 5 operators x 16 nodes, not (3 + 5) x 16 = 128
-        assert factorizations == {"lu_factor": 0, "splu": 80}
+        # grid of 5 points: 5 operators x 16 nodes, not (3 + 5) x 16 = 128;
+        # the 5 operators share one structure and its one ordering
+        assert factorizations == {"lu_factor": 0, "splu": 80, "ordering": 1}
 
 
 def test_every_modal_factorization_is_the_resolvents(monkeypatch):
     callers = []
+    orderings = []
 
     def recorded(*args, _splu=spla.splu, **kwargs):
-        callers.append(sys._getframe(1).f_code)
+        caller = sys._getframe(1).f_code
+        (callers if kwargs.get("permc_spec") == "NATURAL" else orderings).append(caller)
         return _splu(*args, **kwargs)
 
     monkeypatch.setattr(spla, "splu", recorded)
+    dm._pattern.cache_clear()
+    dm._structure.cache_clear()
     u = small_abc(0.3)
     j = np.array([0.0, 0.0, 0.045])
     spec = dm.ModalOperatorSpec(u, j, 1.0, 1)
@@ -680,6 +816,8 @@ def test_every_modal_factorization_is_the_resolvents(monkeypatch):
     dm.projector_distance_bound(spec, dm.ModalOperatorSpec(u, j, 0.97, 1), dm.Contour(0.0, 0.5, 8))
     assert len(callers) > 100
     assert set(callers) == {dm._Resolvent.factor.__code__}
+    # every operator above has the one structure of u at N = 1
+    assert orderings == [dm._Layout.__init__.__code__]
 
 
 class TestProjectorMemory:
@@ -707,8 +845,9 @@ class TestProjectorDistance:
         comp = dm.projector_distance_bound(dm.ModalOperatorSpec(u, j, 1.0, 2), dm.ModalOperatorSpec(u, j, 0.97, 2),
                                            dm.Contour(0.0, 0.5, 8))
         assert comp.rank0 == comp.rank1 == 3
-        # 8 nodes for each operator: the norms, the distance and the counts share them
-        assert factorizations == {"lu_factor": 0, "splu": 16}
+        # 8 nodes for each operator: the norms, the distance and the counts
+        # share them, and the two operators share one structure's ordering
+        assert factorizations == {"lu_factor": 0, "splu": 16, "ordering": 1}
 
     def test_identical_operators(self):
         spec = dm.ModalOperatorSpec(small_abc(), np.zeros(3), 1.0, 2)
