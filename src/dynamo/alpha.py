@@ -27,21 +27,22 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg as la
-import scipy.sparse.linalg as spla
 
 from . import fields as df
 from . import modal
-from .errors import ConfigError, SolverFailure, UndefinedDirection
+from .errors import ConfigError, ContourTouchesSpectrum, SolverFailure, UndefinedDirection
 
 DEFAULT_TOL = 1e-12
 
 
 def unit_direction(j) -> np.ndarray:
     j = np.asarray(j, dtype=float).reshape(3)
-    nj = np.linalg.norm(j)
-    if nj == 0.0:
+    scale = np.max(np.abs(j))
+    if scale == 0.0:
         raise UndefinedDirection("the zero wavevector has no direction")
-    return j / nj
+    # a power of two near max|j| rescales exactly, so |j| neither over- nor underflows
+    j = np.ldexp(j, -np.frexp(scale)[1])
+    return j / np.linalg.norm(j)
 
 
 def _default_truncation(flow: df.SpectralField) -> int:
@@ -70,11 +71,11 @@ def solve_cell_problem(
 ) -> CellSolution:
     """Mean-free solution of Delta S + curl(U x S) = curl(v x U).
 
-    Solves the truncated Galerkin system restricted to the nonzero modes
-    (where the operator is invertible) by sparse LU.  The residual
-    ||A x - b|| / ||b|| is taken on the full stencil matrix A, whose
-    zero-mode rows vanish as does the data there, and a residual above
-    max(10 tol, 1e-11) raises.
+    The stencil A = L(j = 0, eps = 1) has zero-mode rows that vanish, as
+    does the data there.  The resolvent's sparse LU of D - A, D = 1 on the
+    zero-mode unknowns and 0 elsewhere, pins the mean to zero and solves
+    A x = b on the nonzero modes.  The residual ||A x - b|| / ||b|| is
+    taken on A, and a residual above max(10 tol, 1e-11) raises.
     """
     return _solve_cells(flow, [v], tol, truncation)[0]
 
@@ -82,8 +83,8 @@ def solve_cell_problem(
 def _solve_cells(flow: df.SpectralField, vs, tol: float, truncation: int | None) -> list:
     """Cell solutions for several constant vectors from one factorization.
 
-    The vectors share the stencil and its LU; one multi-column solve gives
-    every corrector, and each column keeps its own residual gate.
+    The vectors share one LU of D - A; one multi-column solve gives every
+    corrector, and each column keeps its own residual gate.
     """
     if not (tol > 0.0 and math.isfinite(tol)):
         raise ConfigError(f"cell-problem tolerance must be positive and finite, got {tol}")
@@ -98,15 +99,15 @@ def _solve_cells(flow: df.SpectralField, vs, tol: float, truncation: int | None)
     if not live:
         return sols
 
-    a = modal._operator(modal.ModalOperatorSpec(flow, np.zeros(3), 1.0, n))
-    side = 2 * n + 1
-    zero_flat = (n * side + n) * side + n
-    keep = np.setdiff1d(np.arange(3 * side**3), 3 * zero_flat + np.arange(3))
+    resolvent = modal._Resolvent(modal.ModalOperatorSpec(flow, np.zeros(3), 1.0, n))
+    a = resolvent.matrix
+    mean = np.zeros(a.shape[0])
+    mean[3 * ((2 * n + 1) ** 3 // 2) + np.arange(3)] = 1.0  # the zero mode sits at the lattice centre
     rhs = np.stack([modal.field_to_vec(df.resize(data[i], n)) for i in live], axis=1)
-    sol = np.zeros_like(rhs)
     try:
-        sol[keep] = spla.splu(a[keep][:, keep].tocsc()).solve(rhs[keep])
-    except RuntimeError as exc:
+        # (D - A) x = -b: the mean rows give x_mean = -b_mean = 0, the others A x = b
+        sol = resolvent.factor(mean)[0].solve(-rhs)
+    except ContourTouchesSpectrum as exc:
         raise SolverFailure(f"singular Galerkin cell system at truncation {n}") from exc
     for col, i in enumerate(live):
         # contiguous copies keep each residual the one a single-vector solve reports
@@ -303,12 +304,12 @@ def instability_scan(
 
     The mean EMF matrix is direction-independent, so the three cell solves
     are done once and each direction costs one 3x3 eigen-decomposition.
-    Certification requires both a positive leading real part and a
-    simplicity margin above the threshold; an empty certification is a
-    valid negative result.
+    Certification requires both a leading real part and a simplicity
+    margin above the threshold, which must be finite and non-negative; an
+    empty certification is a valid negative result.
     """
-    if not math.isfinite(threshold):
-        raise ConfigError(f"instability threshold must be finite, got {threshold}")
+    if not (threshold >= 0.0 and math.isfinite(threshold)):
+        raise ConfigError(f"instability threshold must be finite and non-negative, got {threshold}")
     dirs = icosphere_directions() if directions is None else np.asarray(directions, dtype=float)
     if dirs.ndim != 2 or dirs.shape[1] != 3 or len(dirs) == 0:
         raise ConfigError("directions must be a nonempty (m, 3) array")

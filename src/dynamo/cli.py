@@ -179,8 +179,6 @@ def _cmd_alpha_scan(args, outdir: Path) -> dict:
         "axes": alpha.axis_directions,
         "grid": alpha.grid_directions,
     }
-    if args.directions not in samples:
-        raise ConfigError(f"unknown direction sample {args.directions!r}")
     report = alpha.instability_scan(
         flow,
         directions=samples[args.directions](),
@@ -263,11 +261,8 @@ def _cmd_evolve(args, outdir: Path) -> dict:
     spec = _operator_spec(args, flow)
     if args.init == "eig":
         h0 = modal.leading_eigs(spec, count=1)[0].field
-    elif args.init == "random":
-        rng = np.random.default_rng(args.seed)
-        h0 = df.random_complex_field(spec.truncation, rng)
     else:
-        raise ConfigError(f"unknown initial state {args.init!r}")
+        h0 = df.random_complex_field(spec.truncation, np.random.default_rng(args.seed))
     run = ev.evolve(
         spec, h0, args.t_end,
         dt=args.dt, sample_every=args.sample_every, project=args.project,
@@ -480,12 +475,35 @@ def _all_dests(parser: argparse.ArgumentParser) -> set[str]:
     return dests
 
 
+def _config_value(action: argparse.Action, value):
+    """A config value as its flag would take it, through the flag's type and choices.
+
+    A string goes through the type as on the command line, a float flag
+    also takes a JSON number and an int flag a JSON integer, a switch takes
+    a JSON boolean, and null stands only for a built-in default of None.
+    """
+    if value is None:
+        ok = action.default is None
+    elif isinstance(action, argparse._StoreTrueAction):
+        ok = isinstance(value, bool)
+    else:
+        kinds = {float: (str, int, float), int: (str, int)}.get(action.type, (str,))
+        ok = isinstance(value, kinds) and not isinstance(value, bool)
+        try:
+            value = (action.type or str)(value) if ok else value
+        except (ValueError, OverflowError):
+            ok = False
+    if not ok or (action.choices is not None and value not in action.choices):
+        raise ConfigError(f"config key {action.dest!r}: {value!r} is not a value its flag accepts")
+    return value
+
+
 def _seed_defaults(parser: argparse.ArgumentParser, values: dict) -> None:
     # set_defaults rewrites matching action defaults in place, which keeps
     # the precedence explicit flag > config value > built-in default across
     # interpreter versions (subparsers re-derive defaults from the actions)
-    own = {k: v for k, v in values.items()
-           if any(a.dest == k for a in parser._actions)}
+    own = {a.dest: _config_value(a, values[a.dest])
+           for a in parser._actions if a.dest in values}
     if own:
         parser.set_defaults(**own)
         for a in parser._actions:
@@ -553,7 +571,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         _apply_config_file(parser, argv)
         args = parser.parse_args(argv)
-        if not isinstance(args.seed, int) or args.seed < 0:
+        if args.seed < 0:
             raise ConfigError(f"seed must be a non-negative integer, got {args.seed!r}")
         outdir = _resolve_outdir(args)
     except ConfigError as exc:

@@ -35,8 +35,8 @@ costs a fill of the values into the structure's permuted layout, mu added
 on its diagonal slots, and a numeric LU in that fixed order.  An
 eigenvalue count reads each node's determinant phase once and releases that
 node's factor, so it runs after the solves on the same nodes.  The
-comparison bound takes exact 2-norms by Lanczos on the same factors.  The
-cell solve in alpha still factors its own restricted matrix.
+comparison bound takes exact 2-norms by Lanczos on the same factors, and
+the cell solve in alpha is one more such factor, at j = 0.
 """
 
 from __future__ import annotations
@@ -466,7 +466,7 @@ class _Resolvent:
     releases the node's factor: reading U makes SuperLU build and keep CSC
     copies of L and U, so a kept factor would hold them for as long as it
     lives.  Callers therefore count after their solves on the same nodes.
-    The cell solve in alpha still factors its own restricted matrix.
+    The cell solve in alpha factors it at j = 0 with one value per unknown.
     """
 
     def __init__(self, spec: ModalOperatorSpec):
@@ -477,16 +477,17 @@ class _Resolvent:
         self._lus: dict[complex, _NodeFactor] = {}
         self._phases: dict[complex, float] = {}
 
-    def factor(self, mu: complex) -> tuple[_NodeFactor, np.ndarray]:
-        """Sparse LU of mu I - L, and the values of mu I - L in the structure's layout."""
+    def factor(self, mu) -> tuple[_NodeFactor, np.ndarray]:
+        """Sparse LU of mu I - L, and its values in the structure's layout; an array mu is diag(mu)."""
         layout = self._layout
         data = self._negated.copy()
-        data[layout.diagonal] += mu
+        data[layout.diagonal] += mu if np.ndim(mu) == 0 else mu[layout.perm]
         m = sp.csc_array((data, layout.indices, layout.indptr), shape=self.matrix.shape)
         try:
             return _NodeFactor(spla.splu(m, permc_spec="NATURAL"), layout), data
         except RuntimeError as exc:  # exactly singular pivot
-            raise ContourTouchesSpectrum(f"resolvent singular at {mu:.6g}: {exc}") from exc
+            at = f"{mu:.6g}" if np.ndim(mu) == 0 else "the given diagonal"
+            raise ContourTouchesSpectrum(f"resolvent singular at {at}: {exc}") from exc
 
     def lu(self, mu: complex) -> _NodeFactor:
         """The factor at a quadrature node, made on first use; a node too close to the spectrum raises."""

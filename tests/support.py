@@ -194,6 +194,21 @@ def neumann_cell_solve(flow: df.SpectralField, v, tol: float = alpha.DEFAULT_TOL
     return SeriesSolution(s, fft_residual(spec, s, rhs=data), iterations=it, contraction=worst_ratio)
 
 
+def restricted_cell_solve(flow: df.SpectralField, v, n: int) -> df.SpectralField:
+    """The cell corrector from the stencil restricted to the nonzero modes, an oracle for ``alpha.solve_cell_problem``.
+
+    Drops the three zero-mode unknowns, where the j = 0 operator's rows
+    and the data vanish, and factors what is left by ``splu`` in its
+    default (COLAMD) order, with the stencil assembled by ``operator_oracle``.
+    """
+    a = operator_oracle(dm.ModalOperatorSpec(flow, np.zeros(3), 1.0, n))
+    b = dm.field_to_vec(df.resize(alpha._cell_data(flow, np.asarray(v, dtype=np.complex128)), n))
+    keep = np.setdiff1d(np.arange(b.size), 3 * (b.size // 3 // 2) + np.arange(3))  # the zero mode is the centre
+    x = np.zeros_like(b)
+    x[keep] = spla.splu(a[keep][:, keep].tocsc()).solve(b[keep])
+    return dm.vec_to_field(x, n)
+
+
 def kernel_basis(flow: df.SpectralField, n: int, tol: float = 1e-12) -> list[df.SpectralField]:
     """Basis v + S(v) of the kernel of the j = 0, eps = 1 operator."""
     basis = []

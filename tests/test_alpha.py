@@ -7,8 +7,9 @@ from hypothesis import given, settings, strategies as st
 
 import dynamo.fields as df
 import dynamo.alpha as da
+import dynamo.modal as dm
 from dynamo.errors import ConfigError, SolverFailure, UndefinedDirection
-from support import SeriesDiverges, fft_residual, neumann_cell_solve
+from support import SeriesDiverges, fft_residual, neumann_cell_solve, restricted_cell_solve
 
 DELTA0 = 0.05
 
@@ -38,8 +39,6 @@ class TestCellProblem:
         sol = da.solve_cell_problem(u, [0, 1, 0], truncation=2)
         assert sol.residual < 1e-12
         # independent recomputation of the defining equation
-        import dynamo.modal as dm
-
         data = df.curl(df.cross(df.const_field([0, 1, 0]), u))
         spec = dm.ModalOperatorSpec(u, np.zeros(3), 1.0, 2)
         r = dm.apply_modal(spec, sol.field) - df.resize(data, 2)
@@ -47,8 +46,6 @@ class TestCellProblem:
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_residual_matches_fft_recomputation(self, n):
-        import dynamo.modal as dm
-
         rng = np.random.default_rng(n)
         u = df.make_abc(df.AbcParams(*rng.uniform(0.27, 0.33, 3)))
         spec = dm.ModalOperatorSpec(u, np.zeros(3), 1.0, n)
@@ -95,34 +92,67 @@ class TestCellProblem:
         cols = [da.solve_cell_problem(u, e, truncation=3) for e in np.eye(3)]
         want = np.stack([df.mean_vector(df.cross(u, s.field)) for s in cols], axis=1)
         calls = []
-        splu = da.spla.splu
+        splu = dm.spla.splu
 
         def counted(*args, **kwargs):
             calls.append(kwargs)
             return splu(*args, **kwargs)
 
-        monkeypatch.setattr(da.spla, "splu", counted)
+        monkeypatch.setattr(dm.spla, "splu", counted)
         emf, worst = da.mean_emf_matrix(u, truncation=3)
-        assert calls == [{}]  # one factorization, in splu's default ordering
+        # one factorization in the structure's order, made above, so no ordering probe
+        assert calls == [{"permc_spec": "NATURAL"}]
         assert np.array_equal(emf, want)
         assert worst == max(s.residual for s in cols)
+        da.solve_cell_problem(u, [1.0, 2.0, 0.5], truncation=3)
+        assert calls == [{"permc_spec": "NATURAL"}] * 2
 
     def test_mean_emf_matrix_gates_each_column(self, monkeypatch):
         # a spoiled middle column must trip the residual gate on its own
-        splu = da.spla.splu
+        splu = dm.spla.splu
 
         class Spoiled:
             def __init__(self, lu):
                 self.lu = lu
 
-            def solve(self, b):
-                x = self.lu.solve(b)
+            def solve(self, b, trans="N"):
+                x = self.lu.solve(b, trans)
                 x[:, 1] *= 1.0 + 1e-6
                 return x
 
-        monkeypatch.setattr(da.spla, "splu", lambda *a, **k: Spoiled(splu(*a, **k)))
+        def spoiled(*args, **kwargs):
+            lu = splu(*args, **kwargs)
+            return Spoiled(lu) if kwargs.get("permc_spec") == "NATURAL" else lu
+
+        monkeypatch.setattr(dm.spla, "splu", spoiled)
         with pytest.raises(SolverFailure, match="residual"):
             da.mean_emf_matrix(small_abc(), truncation=2)
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_agrees_with_restricted_default_order_solve(self, n):
+        # oracle: the stencil without its zero mode, factored in splu's own order
+        rng = np.random.default_rng(10 + n)
+        u = df.make_abc(df.AbcParams(*rng.uniform(0.27, 0.33, 3)))
+        for v in ([1, 0, 0], [0, 1, 0], [0, 0, 1], rng.standard_normal(3)):
+            got = da.solve_cell_problem(u, v, truncation=n).field
+            want = restricted_cell_solve(u, v, n)
+            assert (got - want).l2() <= 1e-13 * want.l2()
+
+    def test_singular_pivot_raises_solver_failure(self, monkeypatch):
+        u = small_abc()
+        da.solve_cell_problem(u, [1, 0, 0], truncation=2)  # the structure's ordering, made unpatched
+        splu = dm.spla.splu
+
+        def singular(*args, **kwargs):
+            if kwargs.get("permc_spec") == "NATURAL":
+                raise RuntimeError("Factor is exactly singular")
+            return splu(*args, **kwargs)
+
+        monkeypatch.setattr(dm.spla, "splu", singular)
+        with pytest.raises(SolverFailure, match="singular Galerkin cell system at truncation 2"):
+            da.solve_cell_problem(u, [1, 0, 0], truncation=2)
+        with pytest.raises(SolverFailure, match="singular Galerkin cell system"):
+            da.mean_emf_matrix(u, truncation=2)
 
 
 class TestFirstOrderMatrix:
@@ -214,6 +244,14 @@ class TestAlphaMatrix:
         with pytest.raises(UndefinedDirection):
             da.alpha_matrix(small_abc(), [0, 0, 0], truncation=2)
 
+    @pytest.mark.parametrize("j", [[1e200, 0, 0], [1e-200, 0, 0]])
+    def test_huge_and_tiny_directions_normalize(self, j):
+        # |j| overflowed to inf (giving 0) or underflowed to 0 (raising UndefinedDirection)
+        assert np.array_equal(da.unit_direction(j), [1.0, 0.0, 0.0])
+        am = da.alpha_matrix(small_abc(), j, truncation=2)
+        assert np.array_equal(am.j_direction, [1.0, 0.0, 0.0])
+        assert np.array_equal(am.matrix, da.alpha_matrix(small_abc(), [1, 0, 0], truncation=2).matrix)
+
 
 class TestInstabilityScan:
     def test_direction_samples(self):
@@ -252,9 +290,11 @@ class TestInstabilityScan:
             da.instability_scan(small_abc(), directions=np.zeros((0, 3)))
 
     @pytest.mark.parametrize("kwargs", [{"threshold": float("nan")}, {"threshold": float("inf")},
-                                        {"threshold": -float("inf")}, {"tol": float("nan")}, {"tol": 0.0}])
+                                        {"threshold": -float("inf")}, {"tol": float("nan")}, {"tol": 0.0},
+                                        {"threshold": -1.0}, {"threshold": -1e-300}])
     def test_non_finite_threshold_and_bad_tolerance_rejected(self, kwargs):
-        # w.real > nan is False, so a NaN threshold silently withheld the certificate
+        # w.real > nan is False, so a NaN threshold silently withheld the certificate,
+        # and a negative one certified the zero flow, whose eigenvalues and margins are 0
         with pytest.raises(ConfigError):
             da.instability_scan(small_abc(), directions=da.axis_directions(), truncation=2, **kwargs)
 

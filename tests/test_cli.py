@@ -59,6 +59,12 @@ class TestAlphaMatrix:
         assert code == 2
         assert not (out / "eigenvalues.csv").exists()
 
+    @pytest.mark.parametrize("j", ["1e200,0,0", "1e-200,0,0"])
+    def test_huge_or_tiny_direction_is_the_x_axis(self, tmp_path, j):
+        code, _, manifest = run(["alpha", "matrix", "--abc", "1,1,1", "--delta0", "0.05", "--j", j], tmp_path)
+        assert code == 0
+        assert manifest["report"]["j_direction"] == [1.0, 0.0, 0.0]
+
     def test_flow_and_abc_together_exit_2(self, tmp_path):
         code, _, _ = run(
             ["alpha", "matrix", "--abc", "1,1,1", "--flow-file", "x.field",
@@ -80,7 +86,7 @@ class TestAlphaScan:
         assert header.startswith("d1,d2,d3,mu1_re")
 
     @pytest.mark.parametrize("flags", [["--threshold", "nan"], ["--threshold", "inf"], ["--tol", "nan"],
-                                       ["--tol", "0"], ["--tol=-1e-12"]])
+                                       ["--tol", "0"], ["--tol=-1e-12"], ["--threshold=-1.0"], ["--threshold=-1e-300"]])
     def test_invalid_threshold_or_tolerance_exits_2(self, tmp_path, flags):
         code, out, _ = run(["alpha", "scan", "--abc", "1,1,1", "--delta0", "0.05",
                             "--directions", "axes"] + flags, tmp_path)
@@ -435,6 +441,36 @@ class TestConfigAndEnvironment:
             code, out, manifest = run(args + ["--config", str(cfg)], tmp_path, f"cfg{seed}")
             assert code == 2
             assert manifest is None
+
+    @pytest.mark.parametrize("args, config", [
+        (["spectrum", "eigs"], {"truncation": 2.5}),
+        (["spectrum", "eigs"], {"count": 2.5}),
+        (["spectrum", "eigs"], {"count": True}),
+        (["spectrum", "eigs"], {"eps": None}),
+        (["spectrum", "eigs"], {"eps": "fast"}),
+        (["spectrum", "eigs"], {"abc": [1, 1, 1]}),
+        (["alpha", "scan"], {"directions": "cube"}),
+        (["evolve", "--t-end", "1"], {"init": "zero"}),
+        (["evolve", "--t-end", "1"], {"project": 1}),
+    ])
+    def test_config_value_its_flag_rejects_exits_2(self, tmp_path, args, config, capsys):
+        # config values become defaults, which argparse neither converts nor checks against choices
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"abc": "1,1,1", "delta0": 0.3, "j": "0,0,0.045", "truncation": 1, **config}))
+        code, _, manifest = run(args + ["--config", str(cfg)], tmp_path)
+        assert code == 2
+        assert manifest is None
+        assert repr(next(iter(config))) in capsys.readouterr().err
+
+    def test_config_values_take_their_flags_types(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"abc": "1,1,1", "delta0": "0.3", "j": "0,0,0.045", "truncation": "1",
+                                   "eps": 1, "count": 2, "dt": None}))
+        code, _, manifest = run(["spectrum", "eigs", "--config", str(cfg)], tmp_path)
+        assert code == 0
+        got = {k: manifest["config"][k] for k in ("delta0", "truncation", "eps", "count")}
+        assert got == {"delta0": 0.3, "truncation": 1, "eps": 1.0, "count": 2}
+        assert isinstance(got["eps"], float) and manifest["report"]["count"] == 2
 
     def test_outdir_env_var(self, tmp_path, monkeypatch):
         monkeypatch.setenv(cli.OUTDIR_ENV, str(tmp_path / "env-out"))

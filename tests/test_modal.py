@@ -814,6 +814,8 @@ def test_every_modal_factorization_is_the_resolvents(monkeypatch):
     projector = dm.RieszProjector(spec, dm.Contour(0.0, 0.5, 16))
     projector.apply(df.const_field([1.0, 0.0, 0.0], n=1))
     dm.projector_distance_bound(spec, dm.ModalOperatorSpec(u, j, 0.97, 1), dm.Contour(0.0, 0.5, 8))
+    alpha.mean_emf_matrix(u, truncation=1)
+    alpha.instability_scan(u, directions=alpha.axis_directions(), truncation=1)
     assert len(callers) > 100
     assert set(callers) == {dm._Resolvent.factor.__code__}
     # every operator above has the one structure of u at N = 1
