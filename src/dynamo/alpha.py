@@ -37,6 +37,8 @@ DEFAULT_TOL = 1e-12
 
 def unit_direction(j) -> np.ndarray:
     j = np.asarray(j, dtype=float).reshape(3)
+    if not np.all(np.isfinite(j)):
+        raise UndefinedDirection(f"the wavevector {j.tolist()} has no direction: it is not finite")
     scale = np.max(np.abs(j))
     if scale == 0.0:
         raise UndefinedDirection("the zero wavevector has no direction")

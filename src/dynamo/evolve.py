@@ -13,12 +13,15 @@ trace with the per-sample slack of two a-priori bounds,
 so violations beyond discretization tolerance are machine-checkable.
 
 The state of a run is the flat coefficient vector of the modal operator.
-Everything that depends only on the lattice (the shifted wavevectors
-k + j, |k+j|^2 per component, the functional c -> (k+j).c and with it the
-Leray map c - (k+j)((k+j).c)/|k+j|^2) is built once per run, so a step
-costs the two stencil products of the scheme plus one |c|^2, which feeds
-both the trace norm and the trapezoid term |k+j|^2 |c|^2 of the energy
-integral.  The shifted divergence i(k+j).c is formed only at samples.
+What depends only on the lattice (the shifted wavevectors k + j and
+|k+j|^2 per component) is built once per run, and the Heun stages live in
+buffers the stepper owns, so a step costs the two stencil products of the
+scheme, a few passes over the state and one copy of it into a block of
+states of about BLOCK_BYTES; with projection the Leray map
+c - (k+j)((k+j).c)/|k+j|^2 adds an explicit (k+j).c per mode.  Norms,
+trapezoid terms |k+j|^2 |c|^2 of the energy integral and the drift
+max |(k+j).c| are measured a block at a time, and the integral, slacks
+and sample selection are formed from those arrays after the last step.
 """
 
 from __future__ import annotations
@@ -28,11 +31,16 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.sparse import _sparsetools
 
 from . import fields as df
 from . import modal
 from .errors import BlowUpDetected, ConfigError, SolverFailure
 from .modal import ModalOperatorSpec
+
+
+# bytes of the block of states that evolve writes and measures at a time
+BLOCK_BYTES = 1 << 19
 
 
 def default_dt(spec: ModalOperatorSpec) -> float:
@@ -61,10 +69,17 @@ class Stepper:
         self._adv = a - sp.diags_array(d)
         self._dt = None
         self._efac = None
+        self._k1, self._stage, self._k2 = np.empty((3, spec.dim), dtype=np.complex128)
 
     def _advect(self, coeffs: np.ndarray) -> np.ndarray:
         """Coefficients of i(k+j) x (U x H) truncated to N."""
         return (self._adv @ coeffs.reshape(-1)).reshape(coeffs.shape)
+
+    def _advect_into(self, x: np.ndarray, out: np.ndarray) -> None:
+        """out = A x by the CSR kernel behind ``A @ x``, summed from zero as it is there."""
+        adv = self._adv
+        out.fill(0.0)
+        _sparsetools.csr_matvec(*adv.shape, adv.indptr, adv.indices, adv.data, x, out)
 
     def _exp_factor(self, dt: float) -> np.ndarray:
         if dt != self._dt:
@@ -73,13 +88,29 @@ class Stepper:
         return self._efac
 
     def step_coeffs(self, c: np.ndarray, dt: float) -> np.ndarray:
-        """One step of a coefficient array of any shape holding dim values."""
+        """One step of a coefficient array of any shape holding dim values.
+
+        The stages k1 = A x, e (x + dt k1) and k2 = A stage live in buffers
+        the stepper owns, so a step allocates only its result
+        e x + (dt/2)(e k1 + k2), each rounded as the expressions read.
+        The buffers make a stepper unsafe to share between threads.
+        """
         e = self._exp_factor(dt)
         x = c.reshape(-1)
-        k1 = self._advect(x)
-        stage = e * (x + dt * k1)
-        k2 = self._advect(stage)
-        return (e * x + 0.5 * dt * (e * k1 + k2)).reshape(c.shape)
+        k1, stage, k2 = self._k1, self._stage, self._k2
+        if x.shape != k1.shape:  # the CSR kernel reads x unchecked
+            raise ConfigError(f"a state of {x.size} coefficients for an operator of dimension {k1.size}")
+        self._advect_into(x, k1)
+        np.multiply(k1, dt, out=stage)
+        stage += x
+        stage *= e
+        self._advect_into(stage, k2)
+        k1 *= e
+        k1 += k2
+        k1 *= 0.5 * dt
+        out = np.multiply(e, x, dtype=np.complex128)
+        out += k1
+        return out.reshape(c.shape)
 
     def step(self, h: df.SpectralField, dt: float) -> df.SpectralField:
         _check_dt(dt)
@@ -118,14 +149,18 @@ class EvolutionRun:
             raise SolverFailure("trace norms must be finite")
 
 
-def _rel_slack_log(log_bound: float, value: float) -> float:
-    """1 - value/bound computed through logs (bound may overflow)."""
-    if value <= 0.0:
-        return 1.0
-    expo = math.log(value) - log_bound
-    if expo > 500.0:  # pragma: no cover - gross violation
-        return -math.inf
-    return 1.0 - math.exp(expo)
+def _block_rows(dim: int) -> int:
+    """Number of states of dim complex coefficients in a block of about BLOCK_BYTES."""
+    return max(1, round(BLOCK_BYTES / (16 * dim)))
+
+
+def _rel_slack_log(log_bound: np.ndarray, value: np.ndarray) -> np.ndarray:
+    """1 - value/bound computed through logs (bound may overflow), 1 where value is 0."""
+    with np.errstate(divide="ignore"):
+        expo = np.log(value) - log_bound
+    # a gross violation (expo > 500) reads -inf
+    slack = np.where(expo > 500.0, -np.inf, 1.0 - np.exp(np.minimum(expo, 500.0)))
+    return np.where(value <= 0.0, 1.0, slack)
 
 
 def evolve(
@@ -158,64 +193,79 @@ def evolve(
     energy_rate = sup_u**2 / spec.eps
 
     # per-run lattice maps on the flat layout (mode m holds entries 3m..3m+2):
-    # kdot c = (k+j).c per mode, so the shifted divergence is i kdot c; the
-    # Leray map repeats leray_project's arithmetic, and at k + j = 0, where
-    # 1 stands in for |k+j|^2, it leaves the mode alone
+    # (k+j).c per mode is summed from zero, as a sparse product sums, so the
+    # shifted divergence is i (k+j).c; the Leray map repeats leray_project's
+    # arithmetic, and at k + j = 0, where 1 stands in for |k+j|^2, it leaves
+    # the mode alone
     kappa = spec.shifted_wavevectors().reshape(-1, 3)
     kappa_sq = np.sum(kappa * kappa, axis=1)
     k2 = np.repeat(kappa_sq, 3)
-    kdot = sp.csr_array((kappa.ravel(), (np.repeat(np.arange(len(kappa)), 3), np.arange(spec.dim))),
-                        shape=(len(kappa), spec.dim))
     safe_sq = np.where(kappa_sq > 0.0, kappa_sq, 1.0)[:, None]
+    kappa_c = kappa.astype(np.complex128)
 
-    def leray(cc):
-        return (cc.reshape(-1, 3) - kappa * (kdot @ cc)[:, None] / safe_sq).reshape(-1)
+    def kdot(cc):
+        """(k+j).c per mode of each state in cc (..., dim)."""
+        return np.einsum("...mi,mi->...m", cc.reshape(*cc.shape[:-1], -1, 3), kappa_c)
 
-    def energy(t, cc):
-        """Norm and |(grad + ij) H|^2 from one |c|^2."""
-        a = cc.real**2 + cc.imag**2
-        nrm = math.sqrt(float(a.sum()))
-        if not math.isfinite(nrm):
-            raise BlowUpDetected(f"norm became non-finite at t = {t:.6g}")
-        return nrm, float(k2 @ a)
-
+    # states 0..steps are written into a block of rows and measured a block
+    # at a time: norm, |(grad + ij) H|^2 and max |(k+j).c| per state
     h = df.resize(h0, spec.truncation)
     c = h.coeffs.reshape(-1)
-    norm0, g_prev = energy(0.0, c)
-    log_norm0 = math.log(norm0) if norm0 > 0.0 else -math.inf
+    block = np.empty((min(_block_rows(spec.dim), steps + 1), spec.dim), dtype=np.complex128)
+    norm, grad_sq, kdot_max = np.empty((3, steps + 1))
 
-    ts, norms, sg, se, dd = [], [], [], [], []
+    def measure(first, count):
+        """Measure states first..first + count - 1, held in block[:count], and consume them."""
+        states = block[:count]
+        span = slice(first, first + count)
+        kdot_max[span] = np.max(np.abs(kdot(states)), axis=1)
+        a = states.real**2
+        a += np.square(states.imag, out=states.imag)
+        nrm = np.sqrt(a.sum(axis=1))
+        bad = np.flatnonzero(~np.isfinite(nrm))
+        if len(bad):
+            raise BlowUpDetected(f"norm became non-finite at t = {(first + int(bad[0])) * dt:.6g}")
+        norm[span] = nrm
+        grad_sq[span] = np.vecdot(a, k2)
 
-    def record(t, cc, nrm, integral):
-        ts.append(t)
-        norms.append(nrm)
-        if norm0 > 0.0:
-            sg.append(_rel_slack_log(log_norm0 + grad_bound * t, nrm))
-            lhs = nrm**2 + 0.5 * spec.eps * integral
-            se.append(_rel_slack_log(2.0 * log_norm0 + energy_rate * t, lhs))
-        else:
-            sg.append(1.0)
-            se.append(1.0)
-        dd.append(float(np.max(np.abs(kdot @ cc))) / max(nrm, 1e-300) if nrm > 0.0 else 0.0)
+    block[0] = c
+    first, row = 0, 1
+    # a non-finite state raises at its block's measurement, so overflow
+    # and invalid results met on the way there are not warned about
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in range(1, steps + 1):
+            if row == len(block):
+                measure(first, row)
+                first, row = i, 0
+            c = stepper.step_coeffs(c, dt)
+            if project:
+                c3 = c.reshape(-1, 3)
+                c3 -= kappa * kdot(c)[:, None] / safe_sq
+            block[row] = c
+            row += 1
+        measure(first, row)
+    del block
 
-    integral = 0.0
-    record(0.0, c, norm0, integral)
-    for i in range(1, steps + 1):
-        c = stepper.step_coeffs(c, dt)
-        if project:
-            c = leray(c)
-        nrm, g_new = energy(i * dt, c)
-        integral += 0.5 * (g_prev + g_new) * dt
-        g_prev = g_new
-        if i % sample_every == 0 or i == steps:
-            record(i * dt, c, nrm, integral)
-
+    idx = np.arange(0, steps + 1, sample_every)
+    if idx[-1] != steps:
+        idx = np.append(idx, steps)
+    t = idx * dt
+    nrm = norm[idx]
+    # trapezoid rule on |(grad + ij) H|^2, accumulated step by step
+    integral = np.concatenate(([0.0], np.cumsum(0.5 * (grad_sq[:-1] + grad_sq[1:]) * dt)))[idx]
+    norm0 = norm[0]
+    if norm0 > 0.0:
+        log_norm0 = math.log(norm0)
+        sg = _rel_slack_log(log_norm0 + grad_bound * t, nrm)
+        se = _rel_slack_log(2.0 * log_norm0 + energy_rate * t, nrm**2 + 0.5 * spec.eps * integral)
+    else:
+        sg, se = np.ones((2, len(idx)))
     trace = Trace(
-        t=np.array(ts),
-        norm=np.array(norms),
-        slack_growth_bound=np.array(sg),
-        slack_energy_estimate=np.array(se),
-        div_drift=np.array(dd),
+        t=t,
+        norm=nrm,
+        slack_growth_bound=sg,
+        slack_energy_estimate=se,
+        div_drift=np.where(nrm > 0.0, kdot_max[idx] / np.maximum(nrm, 1e-300), 0.0),
     )
     return EvolutionRun(
         spec=spec,

@@ -252,6 +252,14 @@ class TestAlphaMatrix:
         assert np.array_equal(am.j_direction, [1.0, 0.0, 0.0])
         assert np.array_equal(am.matrix, da.alpha_matrix(small_abc(), [1, 0, 0], truncation=2).matrix)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_direction_rejected(self, bad):
+        # a NaN or infinite direction reached scipy's eig, which raised its own ValueError
+        with pytest.raises(UndefinedDirection, match=r"wavevector \[.*, 0.0, 0.0\] .*not finite"):
+            da.alpha_matrix(small_abc(), [bad, 0.0, 0.0], truncation=2)
+        with pytest.raises(UndefinedDirection, match="not finite"):
+            da.instability_scan(small_abc(), directions=[[1.0, 0.0, 0.0], [bad, 0.0, 0.0]], truncation=2)
+
 
 class TestInstabilityScan:
     def test_direction_samples(self):

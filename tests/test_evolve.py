@@ -10,7 +10,7 @@ from dynamo import fields as df
 from dynamo import modal
 from dynamo import evolve
 from dynamo.errors import BlowUpDetected, ConfigError, SolverFailure
-from support import evolve_reference
+from support import evolve_per_step, evolve_reference, traced_peak
 
 
 def _diffusive_spec(n=2, eps=0.8, j=(0.2, 0.0, -0.1)):
@@ -61,6 +61,12 @@ class TestStepper:
             lhs = st.step(combo, dt).coeffs
             rhs = a * st.step(h1, dt).coeffs + b * st.step(h2, dt).coeffs
             np.testing.assert_allclose(lhs, rhs, rtol=0, atol=1e-12)
+
+    def test_state_of_wrong_size_rejected(self):
+        # the stencil product runs on the raw CSR kernel, which would read past a short state
+        st = evolve.Stepper(_abc_spec(n=1))
+        with pytest.raises(ConfigError):
+            st.step_coeffs(np.zeros(st.spec.dim - 3, dtype=np.complex128), 0.1)
 
     def test_nonpositive_dt_rejected(self):
         spec = _diffusive_spec(n=1)
@@ -340,3 +346,90 @@ class TestTraceOracle:
         few, many = counted(10), counted(1000)
         assert few["wavevectors"] > 0 and few["fields"] > 0
         assert few == many
+
+
+def _workload_spec(seed, eps=1.0, n=3):
+    """The ABC amplitudes near 0.3 and wavevector, |j| in [0.035, 0.05], the benchmark draws from seed."""
+    rng = np.random.default_rng(seed)
+    abc = rng.uniform(0.27, 0.33, size=3)
+    v = rng.standard_normal(3)
+    j = v / np.linalg.norm(v) * rng.uniform(0.035, 0.05)
+    return modal.ModalOperatorSpec(flow=df.make_abc(df.AbcParams(*abc)), j=j, eps=eps, truncation=n)
+
+
+class TestPerStepOracle:
+    """evolve, measured a block of states at a time, against the same run measured step by step."""
+
+    @staticmethod
+    def _assert_matches(spec, h0, steps, sample_every, project):
+        dt = evolve.default_dt(spec)
+        run = evolve.evolve(spec, h0, steps * dt, dt, sample_every=sample_every, project=project)
+        ref, final = evolve_per_step(spec, h0, steps * dt, dt, sample_every=sample_every, project=project)
+        assert len(run.trace.t) == len(ref.t) == 1 + steps // sample_every + (steps % sample_every > 0)
+        for col in ("t", "norm", "div_drift"):
+            assert np.array_equal(getattr(run.trace, col), getattr(ref, col)), col
+        # the slacks go through numpy's log and exp instead of math's
+        for col in ("slack_growth_bound", "slack_energy_estimate"):
+            np.testing.assert_allclose(getattr(run.trace, col), getattr(ref, col), rtol=0, atol=4.5e-16)
+        assert np.array_equal(run.final_state.coeffs.reshape(-1), final)
+
+    @pytest.mark.parametrize("project", [False, True])
+    @pytest.mark.parametrize("sample_every", [1, 7])
+    @pytest.mark.parametrize(("blocks", "extra"), [(0, 1), (1, -1), (1, 0), (1, 1)])
+    def test_block_edges(self, blocks, extra, sample_every, project):
+        # a run of s steps has s + 1 states: B - 1 steps fill one block of B
+        # exactly, B and B + 1 steps spill one and two states into the next
+        spec = _workload_spec(1)
+        h0 = df.random_complex_field(3, rng=np.random.default_rng(1))
+        self._assert_matches(spec, h0, blocks * evolve._block_rows(spec.dim) + extra, sample_every, project)
+
+    @pytest.mark.parametrize("project", [False, True])
+    def test_long_run(self, project):
+        spec = _workload_spec(1)
+        h0 = df.random_complex_field(3, rng=np.random.default_rng(1))
+        self._assert_matches(spec, h0, 3000, 1, project)
+
+    @pytest.mark.parametrize("project", [False, True])
+    @pytest.mark.parametrize("eps", [1.0, 0.5])
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_workload_flows(self, seed, eps, project):
+        spec = _workload_spec(seed, eps)
+        h0 = df.random_complex_field(3, rng=np.random.default_rng(seed))
+        self._assert_matches(spec, h0, 2 * evolve._block_rows(spec.dim) + 5, 7, project)
+
+    def test_norm_overflow_mid_block(self):
+        # a growing eigenvector scaled so that |c|^2 overflows about half a
+        # block into the second block; no numpy warning may escape on the way
+        spec = _abc_spec(n=2)
+        pair = modal.leading_eigs(spec, count=1)[0]
+        dt = evolve.default_dt(spec)
+        rows = evolve._block_rows(spec.dim)
+        scale = math.sqrt(np.finfo(float).max) * math.exp(-pair.p.real * dt * 1.5 * rows) / pair.field.l2()
+        h0 = df.SpectralField(pair.field.coeffs * scale, kind="complex")
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(BlowUpDetected) as ref:
+            evolve_per_step(spec, h0, 3 * rows * dt, dt)
+        step = round(float(str(ref.value).rsplit("= ", 1)[1]) / dt)
+        assert rows < step < 2 * rows - 1
+        with pytest.raises(BlowUpDetected) as got:
+            evolve.evolve(spec, h0, 3 * rows * dt, dt)
+        assert str(got.value) == str(ref.value)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_start_raises_at_zero(self, bad):
+        spec = _abc_spec(n=1)
+        c = np.zeros((3, 3, 3, 3), dtype=np.complex128)
+        c[2, 1, 1] = [bad, 1.0, 0.0]
+        with pytest.raises(BlowUpDetected, match="^norm became non-finite at t = 0$"):
+            evolve.evolve(spec, df.SpectralField(c, kind="complex"), t_end=1.0, dt=0.1)
+
+    def test_memory_is_one_block(self):
+        # a 3000-step N = 3 run keeps its per-state measurements, one block
+        # of states and little else; keeping every state would take 47 MiB
+        spec = _workload_spec(1)
+        h0 = df.random_complex_field(3, rng=np.random.default_rng(1))
+        dt = evolve.default_dt(spec)
+        evolve.evolve(spec, h0, 10 * dt, dt)  # the stencil's cached structure
+        run, peak = traced_peak(lambda: evolve.evolve(spec, h0, 3000 * dt, dt))
+        trace_bytes = sum(getattr(run.trace, col).nbytes for col in evolve.Trace.__dataclass_fields__)
+        assert len(run.trace.t) == 3001
+        assert peak <= trace_bytes + evolve.BLOCK_BYTES + 2**20
