@@ -9,9 +9,15 @@ and the alpha matrix in direction jhat acts by
 
     A v = i jhat x mean(U x S(v)).
 
-The corrector is one direct sparse solve on the modal stencil, with its
-residual taken on the same matrix; the small-flow Neumann series for S is
-kept in the test-suite as an independent oracle.
+All three ingredients come from the modal stencil L(j = 0, eps = 1): the
+data curl(v x U) are minus its three zero-mode columns applied to v, the
+corrector is one direct sparse solve with its residual taken on the same
+matrix, and mean(U x S) is the k = 0 coefficient, the sum of
+U(k) x S(-k) over the flow's modes, so neither the corrector nor the
+alpha matrix forms an FFT product.  The small-flow Neumann series for S,
+made of FFT products, is kept in the test-suite as an independent
+oracle, and ``first_order_matrix``, a reference for the small-flow
+limit, forms its products by FFT.
 
 A flow is alpha-unstable when some direction produces a simple eigenvalue
 of A with positive real part; the scan below certifies this over a finite
@@ -51,11 +57,6 @@ def _default_truncation(flow: df.SpectralField) -> int:
     return max(2, 3 * flow.truncation)
 
 
-def _cell_data(flow: df.SpectralField, v: np.ndarray) -> df.SpectralField:
-    """Right-hand side curl(v x U) for a constant vector v."""
-    return df.curl(df.cross(df.const_field(v), flow))
-
-
 @dataclass(frozen=True, eq=False)
 class CellSolution:
     """Corrector field with its a-posteriori residual (relative to the data)."""
@@ -85,8 +86,11 @@ def solve_cell_problem(
 def _solve_cells(flow: df.SpectralField, vs, tol: float, truncation: int | None) -> list:
     """Cell solutions for several constant vectors from one factorization.
 
-    The vectors share one LU of D - A; one multi-column solve gives every
-    corrector, and each column keeps its own residual gate.
+    A constant field v has no diffusion at k = 0, so A v = curl(U x v) and
+    the data curl(v x U) are -A[:, mean] v, minus the stencil's three
+    zero-mode columns applied to v.  The vectors share one LU of D - A;
+    one multi-column solve gives every corrector, and each column keeps
+    its own residual gate.  A corrector is real when the flow and v are.
     """
     if not (tol > 0.0 and math.isfinite(tol)):
         raise ConfigError(f"cell-problem tolerance must be positive and finite, got {tol}")
@@ -94,30 +98,32 @@ def _solve_cells(flow: df.SpectralField, vs, tol: float, truncation: int | None)
     n = _default_truncation(flow) if truncation is None else int(truncation)
     if n < flow.truncation:
         raise ConfigError("cell-problem truncation cannot be smaller than the flow's support")
-    data = [_cell_data(flow, v) for v in vs]
-    dnorms = [d.l2() for d in data]
-    sols = [CellSolution(v, df.zero_field(n, kind=d.kind), 0.0) for v, d in zip(vs, data)]
+    resolvent = modal._Resolvent(modal.ModalOperatorSpec(flow, np.zeros(3), 1.0, n))
+    a = resolvent.matrix
+    mean = 3 * ((2 * n + 1) ** 3 // 2) + np.arange(3)  # the zero mode sits at the lattice centre
+    rhs = -(a[:, mean] @ np.stack(vs, axis=1))
+    kinds = ["real" if flow.kind == df.const_field(v).kind == "real" else "complex" for v in vs]
+    sols = [CellSolution(v, df.zero_field(n, kind=kind), 0.0) for v, kind in zip(vs, kinds)]
+    # contiguous copies keep each column's norms the ones a single-vector solve reports
+    cols = [rhs[:, i].copy() for i in range(len(vs))]
+    dnorms = [float(np.linalg.norm(b)) for b in cols]
     live = [i for i, dn in enumerate(dnorms) if dn != 0.0]
     if not live:
         return sols
 
-    resolvent = modal._Resolvent(modal.ModalOperatorSpec(flow, np.zeros(3), 1.0, n))
-    a = resolvent.matrix
-    mean = np.zeros(a.shape[0])
-    mean[3 * ((2 * n + 1) ** 3 // 2) + np.arange(3)] = 1.0  # the zero mode sits at the lattice centre
-    rhs = np.stack([modal.field_to_vec(df.resize(data[i], n)) for i in live], axis=1)
+    pin = np.zeros(a.shape[0])
+    pin[mean] = 1.0
     try:
         # (D - A) x = -b: the mean rows give x_mean = -b_mean = 0, the others A x = b
-        sol = resolvent.factor(mean)[0].solve(-rhs)
+        sol = resolvent.factor(pin)[0].solve(-rhs[:, live])
     except ContourTouchesSpectrum as exc:
         raise SolverFailure(f"singular Galerkin cell system at truncation {n}") from exc
     for col, i in enumerate(live):
-        # contiguous copies keep each residual the one a single-vector solve reports
-        x, b = sol[:, col].copy(), rhs[:, col].copy()
-        res = float(np.linalg.norm(a @ x - b)) / dnorms[i]
+        x = sol[:, col].copy()
+        res = float(np.linalg.norm(a @ x - cols[i])) / dnorms[i]
         if res > max(10.0 * tol, 1e-11):
             raise SolverFailure(f"direct cell solve residual {res:.2e} exceeds tolerance")
-        sols[i] = CellSolution(vs[i], modal.vec_to_field(x, n, kind=data[i].kind), res)
+        sols[i] = CellSolution(vs[i], modal.vec_to_field(x, n, kind=kinds[i]), res)
     return sols
 
 
@@ -158,12 +164,15 @@ def mean_emf_matrix(
 ) -> tuple[np.ndarray, float]:
     """Columns mean(U x S(e_l)); the direction-independent part of A.
 
-    The three correctors share one factorization of the cell stencil.
+    The three correctors share one factorization of the cell stencil.  A
+    column is the k = 0 coefficient of U x S, the sum of U(k) x S(-k) over
+    the flow's lattice.
     """
     m = np.zeros((3, 3), dtype=np.complex128)
     worst = 0.0
     for axis, sol in enumerate(_solve_cells(flow, np.eye(3), tol, truncation)):
-        m[:, axis] = df.mean_vector(df.cross(flow, sol.field))
+        s_minus = df.resize(sol.field, flow.truncation).coeffs[::-1, ::-1, ::-1]
+        m[:, axis] = np.cross(flow.coeffs, s_minus).sum(axis=(0, 1, 2))
         worst = max(worst, sol.residual)
     return m, worst
 

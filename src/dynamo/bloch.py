@@ -109,8 +109,6 @@ class BlochFamily:
     fields: tuple
     conjugate_paired: bool = False
     exponents: np.ndarray | None = None
-    eps: float | None = None
-    zeta: float | None = None
 
     def __post_init__(self):
         nodes = np.asarray(self.j_nodes, dtype=float)
@@ -513,7 +511,7 @@ def prepare_band_pairs(flow, nodes, eps_ratio: float, truncation: int) -> list:
     return pairs
 
 
-def build_band_datum(pairs, nodes, weights, eps: float = 1.0, zeta: float = 0.9) -> BlochFamily:
+def build_band_datum(pairs, nodes, weights) -> BlochFamily:
     """Assemble the conjugate-paired, unit-mass family from one box of pairs.
 
     The mirror box at -j carries the conjugated fields and exponents, which
@@ -546,8 +544,6 @@ def build_band_datum(pairs, nodes, weights, eps: float = 1.0, zeta: float = 0.9)
         fields=all_fields,
         conjugate_paired=True,
         exponents=all_exps,
-        eps=eps,
-        zeta=zeta,
     )
 
 
@@ -566,7 +562,7 @@ def band_datum(
     ratio = eps / zeta**n_eps
     nodes, weights = gauss_legendre_box(j_star, half_width, nodes_per_axis)
     pairs = prepare_band_pairs(flow, nodes, ratio, truncation)
-    return build_band_datum(pairs, nodes, weights, eps=eps, zeta=zeta)
+    return build_band_datum(pairs, nodes, weights)
 
 
 def widest_stable_band(

@@ -532,6 +532,8 @@ def _apply_config_file(parser: argparse.ArgumentParser, argv: list[str]) -> None
     unknown = sorted(set(cleaned) - _all_dests(parser))
     if unknown:
         raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
+    if os.environ.get(OUTDIR_ENV):
+        cleaned.pop("out", None)  # the environment's directory outranks the config's
     _seed_defaults(parser, cleaned)
 
 

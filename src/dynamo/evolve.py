@@ -71,10 +71,6 @@ class Stepper:
         self._efac = None
         self._k1, self._stage, self._k2 = np.empty((3, spec.dim), dtype=np.complex128)
 
-    def _advect(self, coeffs: np.ndarray) -> np.ndarray:
-        """Coefficients of i(k+j) x (U x H) truncated to N."""
-        return (self._adv @ coeffs.reshape(-1)).reshape(coeffs.shape)
-
     def _advect_into(self, x: np.ndarray, out: np.ndarray) -> None:
         """out = A x by the CSR kernel behind ``A @ x``, summed from zero as it is there."""
         adv = self._adv
@@ -194,13 +190,13 @@ def evolve(
 
     # per-run lattice maps on the flat layout (mode m holds entries 3m..3m+2):
     # (k+j).c per mode is summed from zero, as a sparse product sums, so the
-    # shifted divergence is i (k+j).c; the Leray map repeats leray_project's
-    # arithmetic, and at k + j = 0, where 1 stands in for |k+j|^2, it leaves
-    # the mode alone
+    # shifted divergence is i (k+j).c; the Leray map multiplies by
+    # 1/|k+j|^2, as numpy's complex division by a real |k+j|^2 does, and at
+    # k + j = 0, where 1 stands in for |k+j|^2, it leaves the mode alone
     kappa = spec.shifted_wavevectors().reshape(-1, 3)
     kappa_sq = np.sum(kappa * kappa, axis=1)
     k2 = np.repeat(kappa_sq, 3)
-    safe_sq = np.where(kappa_sq > 0.0, kappa_sq, 1.0)[:, None]
+    inv_sq = 1.0 / np.where(kappa_sq > 0.0, kappa_sq, 1.0)[:, None]
     kappa_c = kappa.astype(np.complex128)
 
     def kdot(cc):
@@ -240,7 +236,7 @@ def evolve(
             c = stepper.step_coeffs(c, dt)
             if project:
                 c3 = c.reshape(-1, 3)
-                c3 -= kappa * kdot(c)[:, None] / safe_sq
+                c3 -= kappa * kdot(c)[:, None] * inv_sq
             block[row] = c
             row += 1
         measure(first, row)

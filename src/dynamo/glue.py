@@ -60,6 +60,11 @@ def block_budget(ufrak: float, n: int, ell: int) -> float:
     return math.exp(-(n + 1) - ufrak * (ell + 1)) / ufrak
 
 
+def _period(zeta: float, n: int) -> float:
+    """Period 2 pi zeta^{n/2} of the scale-n stream."""
+    return 2.0 * np.pi * zeta ** (n / 2.0)
+
+
 # ---------------------------------------------------------------------------
 # tail bookkeeping
 
@@ -308,7 +313,7 @@ class BlockCatalog:
         if not self.blocks:
             raise ConfigError("catalog needs at least one block")
         for b in self.blocks:
-            want = 2.0 * np.pi * self.zeta ** (b.n / 2.0)
+            want = _period(self.zeta, b.n)
             if abs(b.period - want) > 1e-9 * want:
                 raise ConfigError(f"block ({b.n},{b.ell}) period is inconsistent")
         for i, a in enumerate(self.blocks):
@@ -392,7 +397,7 @@ def plan_catalog(
         raise ConfigError("planning margin must lie in (0, 0.9)")
     placed: list[Block] = []
     for n in range(1, n_max + 1):
-        period = 2.0 * np.pi * zeta ** (n / 2.0)
+        period = _period(zeta, n)
         for ell in range(1, ell_max + 1):
             beta = block_budget(ufrak, n, ell)
             radius = (1.0 + margin) * max(1.0, 2.0 / beta, tail.radius_for(beta / 2.0))
@@ -459,8 +464,7 @@ def _local_fields(
     """u = curl(psi phi) and its Jacobian at block-local offsets.
 
     Product rule: u = phi U + grad(phi) x psi with U = curl psi, and
-    d_m u_i = phi d_m U_i + d_m(phi) U_i
-              + eps_{ijk} (D^2 phi)_{jm} psi_k + eps_{ijk} d_j(phi) d_m(psi_k).
+    d_m u = phi d_m U + U d_m(phi) + (d_m grad phi) x psi + grad(phi) x d_m psi.
     """
     flow_n = df.curl(stream_n)
     psi = df.eval_at_points(stream_n, offsets).real
@@ -469,19 +473,13 @@ def _local_fields(
     ju = df.eval_jacobian_at_points(flow_n, offsets).real
 
     cut = CutoffSpec(np.zeros(3), plateau, outer)
-    r = np.linalg.norm(offsets, axis=1)
-    phi, d1, d2 = cut.profile_derivatives(r)
-    unit = np.divide(offsets, r[:, None], out=np.zeros_like(offsets), where=r[:, None] > 0)
-    tang = np.divide(d1, r, out=np.zeros_like(d1), where=r > 0)
+    phi, dphi, hphi = cut.value(offsets), cut.gradient(offsets), cut.hessian(offsets)
 
-    u = phi[:, None] * uval + d1[:, None] * np.cross(unit, psi)
-    grad = phi[:, None, None] * ju
-    grad += uval[:, :, None] * (d1[:, None] * unit)[:, None, :]
-    grad += (d2 - tang)[:, None, None] * np.cross(unit, psi)[:, :, None] * unit[:, None, :]
-    grad -= tang[:, None, None] * df._cross_matrix(psi).real  # eps_{imk} psi_k = -[psi]_x
-    grad += d1[:, None, None] * np.moveaxis(
-        np.cross(unit[:, None, :], np.moveaxis(jpsi, 1, 2)), 1, 2
-    )
+    u = phi[:, None] * uval + np.cross(dphi, psi)
+    grad = phi[:, None, None] * ju + uval[:, :, None] * dphi[:, None, :]
+    # row m of each product is a term of d_m u: the Hessian is symmetric, and jpsi[:, k, m] = d_m psi_k
+    rows = np.cross(hphi, psi[:, None, :]) + np.cross(dphi[:, None, :], np.swapaxes(jpsi, 1, 2))
+    grad += np.swapaxes(rows, 1, 2)
     return u, grad
 
 
@@ -683,7 +681,7 @@ def _w2_components(f: df.SpectralField, oversample: int = 4) -> tuple[float, flo
 def _representative_block(catalog: BlockCatalog, n: int) -> Block:
     # dynamically similar stand-in at unit scale: float64 cannot host coherent
     # samples at the true radii, and the evaluation formulas are scale-free
-    period = 2.0 * np.pi * catalog.zeta ** (n / 2.0)
+    period = _period(catalog.zeta, n)
     return Block(
         n=n, ell=1, quanta=(0, 0, 0), period=period,
         radius=period, plateau=2.0 * period, outer=3.0 * period,
@@ -880,7 +878,7 @@ def load_catalog(path) -> BlockCatalog:
         blocks.append(
             Block(
                 n=n, ell=ell, quanta=quanta,
-                period=2.0 * np.pi * zeta ** (n / 2.0),
+                period=_period(zeta, n),
                 radius=radius, plateau=plateau, outer=outer,
             )
         )

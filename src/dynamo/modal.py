@@ -17,7 +17,8 @@ the entries sit, depends only on the truncation and the flow's nonzero
 modes; with the flow's cross-product blocks it forms the pattern, built
 once per flow, and each (j, eps) fills in the values.
 The dense matrix (capped at DENSE_CAP, for test oracles), every residual,
-the cell solve in alpha and the time stepper in evolve all come from it;
+the cell data and cell solve in alpha and the time stepper in evolve all
+come from it;
 ``apply_modal``, an independent matrix-free FFT apply, is the reference
 for oracles only and no production path calls it.  On top
 sit the eigensolver, shift-invert Arnoldi on a sparse LU of the stencil,
@@ -173,8 +174,8 @@ def _structure(n: int, modes: tuple[tuple[int, int, int], ...]) -> _Structure:
 class _Pattern:
     """The stencil of one flow at one truncation: its structure and the matrix [U(d)]_x of every block.
 
-    ``entries`` only multiplies the blocks, ``assemble`` puts them in CSR
-    order, and ``fill`` does both.
+    ``entries`` only multiplies the blocks, and ``assemble`` puts them in
+    CSR order.
     """
 
     def __init__(self, flow: df.SpectralField, n: int):
@@ -191,14 +192,6 @@ class _Pattern:
         s = self.structure
         left = np.broadcast_to(left, (s.side,) * 3 + (3, 3)).reshape(-1, 3, 3)
         return np.concatenate((diag, (left[s.lattice] @ self.crosses).reshape(-1)))
-
-    def fill(self, left: np.ndarray, diag: np.ndarray) -> sp.csr_array:
-        """Sparse matrix with diagonal diag plus blocks left(k) . [U(d)]_x.
-
-        Exact zeros are dropped, so a node with a zero shift component
-        stores fewer entries than the pattern holds.
-        """
-        return self.assemble(self.entries(left, diag))
 
     def assemble(self, entries: np.ndarray) -> sp.csr_array:
         """The CSR matrix of ``entries``, exact zeros dropped and duplicates summed."""

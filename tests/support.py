@@ -55,6 +55,11 @@ def convolve_oracle(f: df.SpectralField, g: df.SpectralField) -> df.SpectralFiel
     return df.SpectralField(out, kind="complex", scale=f.scale)
 
 
+def cell_data(flow: df.SpectralField, v) -> df.SpectralField:
+    """The cell problem's data curl(v x U) for a constant vector v, by an FFT product."""
+    return df.curl(df.cross(df.const_field(v), flow))
+
+
 def assemble_slope_generator(flow: df.SpectralField, j_direction, n: int) -> np.ndarray:
     """Dense matrix of the linear-in-|j| term: i jhat x (U x .) + 2 i jhat . grad.
 
@@ -66,7 +71,8 @@ def assemble_slope_generator(flow: df.SpectralField, j_direction, n: int) -> np.
     if dim > dm.DENSE_CAP:
         raise TooLarge(f"dense assembly of dimension {dim} exceeds the cap {dm.DENSE_CAP}")
     diag = np.repeat(-2.0 * np.sum(df.wavevectors(n) * jhat, axis=-1).reshape(-1), 3).astype(np.complex128)
-    return dm._pattern(flow, n).fill(df._cross_matrix(1j * jhat), diag).toarray()
+    pattern = dm._pattern(flow, n)
+    return pattern.assemble(pattern.entries(df._cross_matrix(1j * jhat), diag)).toarray()
 
 
 def stencil_oracle(flow: df.SpectralField, n: int, left: np.ndarray, diag: np.ndarray) -> sp.csr_array:
@@ -165,7 +171,7 @@ def neumann_cell_solve(flow: df.SpectralField, v, tol: float = alpha.DEFAULT_TOL
     n = alpha._default_truncation(flow) if truncation is None else int(truncation)
     if n < flow.truncation:
         raise ConfigError("cell-problem truncation cannot be smaller than the flow's support")
-    data = alpha._cell_data(flow, v)
+    data = cell_data(flow, v)
     dnorm = data.l2()
     if dnorm == 0.0:
         return SeriesSolution(df.zero_field(n, kind=data.kind), 0.0)
@@ -202,7 +208,7 @@ def restricted_cell_solve(flow: df.SpectralField, v, n: int) -> df.SpectralField
     default (COLAMD) order, with the stencil assembled by ``operator_oracle``.
     """
     a = operator_oracle(dm.ModalOperatorSpec(flow, np.zeros(3), 1.0, n))
-    b = dm.field_to_vec(df.resize(alpha._cell_data(flow, np.asarray(v, dtype=np.complex128)), n))
+    b = dm.field_to_vec(df.resize(cell_data(flow, np.asarray(v, dtype=np.complex128)), n))
     keep = np.setdiff1d(np.arange(b.size), 3 * (b.size // 3 // 2) + np.arange(3))  # the zero mode is the centre
     x = np.zeros_like(b)
     x[keep] = spla.splu(a[keep][:, keep].tocsc()).solve(b[keep])
@@ -277,9 +283,9 @@ def step_coeffs_reference(stepper: ev.Stepper, c: np.ndarray, dt: float) -> np.n
     """``Stepper.step_coeffs`` as one expression: every stage a fresh array."""
     e = np.exp(stepper._diag * dt)
     x = c.reshape(-1)
-    k1 = stepper._advect(x)
+    k1 = stepper._adv @ x
     stage = e * (x + dt * k1)
-    k2 = stepper._advect(stage)
+    k2 = stepper._adv @ stage
     return (e * x + 0.5 * dt * (e * k1 + k2)).reshape(c.shape)
 
 

@@ -9,7 +9,7 @@ import dynamo.fields as df
 import dynamo.alpha as da
 import dynamo.modal as dm
 from dynamo.errors import ConfigError, SolverFailure, UndefinedDirection
-from support import SeriesDiverges, fft_residual, neumann_cell_solve, restricted_cell_solve
+from support import SeriesDiverges, cell_data, fft_residual, neumann_cell_solve, restricted_cell_solve
 
 DELTA0 = 0.05
 
@@ -90,7 +90,8 @@ class TestCellProblem:
     def test_mean_emf_matrix_shares_one_factorization(self, monkeypatch):
         u = df.make_abc(df.AbcParams(0.31, 0.27, 0.3))
         cols = [da.solve_cell_problem(u, e, truncation=3) for e in np.eye(3)]
-        want = np.stack([df.mean_vector(df.cross(u, s.field)) for s in cols], axis=1)
+        want = np.stack([np.cross(u.coeffs, df.resize(s.field, 1).coeffs[::-1, ::-1, ::-1]).sum(axis=(0, 1, 2))
+                         for s in cols], axis=1)
         calls = []
         splu = dm.spla.splu
 
@@ -153,6 +154,58 @@ class TestCellProblem:
             da.solve_cell_problem(u, [1, 0, 0], truncation=2)
         with pytest.raises(SolverFailure, match="singular Galerkin cell system"):
             da.mean_emf_matrix(u, truncation=2)
+
+
+class TestStencilData:
+    """The cell data are stencil columns and the mean EMF a sum over the flow's modes: no FFT product."""
+
+    FLOWS = {
+        "abc": df.make_abc(df.AbcParams(0.31, 0.27, 0.3)),
+        "random": df.random_real_field(2, np.random.default_rng(5), div_free=True, amplitude=0.2),
+    }
+
+    def test_no_fft_product(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("an FFT cross product was formed")
+
+        u = df.make_abc(df.AbcParams(0.3, 0.2, 0.25))
+        want, _ = da.mean_emf_matrix(u, truncation=2)
+        monkeypatch.setattr(df, "cross", refuse)
+        assert da.solve_cell_problem(u, [1, 0, 0], truncation=2).field.l2() > 0.0
+        assert np.array_equal(da.mean_emf_matrix(u, truncation=2)[0], want)
+        assert np.array_equal(da.alpha_matrix(u, [0, 0, 1], truncation=2).emf, want)
+        assert da.instability_scan(u, directions=da.axis_directions(), truncation=2).certified
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    @pytest.mark.parametrize("name", ["abc", "random"])
+    def test_data_and_emf_match_fft_products(self, monkeypatch, name, n):
+        # oracle: curl(v x U) and mean(U x S) by dealiased FFT products
+        u = self.FLOWS[name]
+        solves = []
+        solve = dm._NodeFactor.solve
+
+        def recorded(self, b, trans="N"):
+            x = solve(self, b, trans)
+            solves.append((-b, x))
+            return x
+
+        monkeypatch.setattr(dm._NodeFactor, "solve", recorded)
+        emf, _ = da.mean_emf_matrix(u, truncation=n)
+        [(data, corr)] = solves
+        want = np.zeros((3, 3), dtype=np.complex128)
+        for axis, e in enumerate(np.eye(3)):
+            b = dm.field_to_vec(df.resize(cell_data(u, e), n))
+            assert np.linalg.norm(data[:, axis] - b) <= 1e-15 * np.linalg.norm(b)
+            want[:, axis] = df.mean_vector(df.cross(u, dm.vec_to_field(corr[:, axis], n)))
+        assert np.max(np.abs(emf - want)) <= 2e-15 * np.max(np.abs(want))
+
+    def test_corrector_is_real_when_flow_and_vector_are(self):
+        u = self.FLOWS["abc"]
+        complex_flow = df.curl(u) * 1j  # mean-free and divergence-free
+        kinds = [s.field.kind for s in da._solve_cells(u, [[1, 0, 0], [1j, 0, 0]], da.DEFAULT_TOL, 2)]
+        assert kinds == ["real", "complex"]
+        assert da.solve_cell_problem(complex_flow, [1, 0, 0], truncation=2).field.kind == "complex"
+        assert da.solve_cell_problem(df.zero_field(1), [1, 0, 0]).field.kind == "real"
 
 
 class TestFirstOrderMatrix:

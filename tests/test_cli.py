@@ -478,6 +478,29 @@ class TestConfigAndEnvironment:
         assert code == 0
         assert (tmp_path / "env-out" / "flow.field").exists()
 
+    @pytest.mark.parametrize("flag, env, config, want", [
+        (True, True, True, "flag-out"),
+        (False, True, True, "env-out"),
+        (False, False, True, "cfg-out"),
+        (False, False, False, "dynamo-out"),
+    ])
+    def test_outdir_precedence(self, tmp_path, monkeypatch, flag, env, config, want):
+        # --out > DYNAMO_OUTDIR > config "out" > ./dynamo-out
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.delenv(cli.OUTDIR_ENV, raising=False)
+        argv = ["field", "make-abc", "--abc", "1,1,1"]
+        if flag:
+            argv += ["--out", "flag-out"]
+        if env:
+            monkeypatch.setenv(cli.OUTDIR_ENV, "env-out")
+        if config:
+            (tmp_path / "cfg.json").write_text(json.dumps({"out": "cfg-out"}))
+            argv += ["--config", "cfg.json"]
+        assert cli.main(argv) == 0
+        written = sorted(p.name for p in tmp_path.iterdir() if p.is_dir())
+        assert written == [want]
+        assert (tmp_path / want / "flow.field").exists()
+
     def test_out_flag_beats_env_var(self, tmp_path, monkeypatch):
         monkeypatch.setenv(cli.OUTDIR_ENV, str(tmp_path / "env-out"))
         code = cli.main(["field", "make-abc", "--abc", "1,1,1",

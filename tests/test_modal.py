@@ -213,7 +213,8 @@ class TestStencilPattern:
         # one left matrix for every mode, as the slope generator passes it
         left = df._cross_matrix(1j * np.array([0.0, 0.6, 0.8]))
         diag = rng.standard_normal(3 * 5**3) + 0j
-        assert_same_csr(dm._pattern(wide, 2).fill(left, diag), stencil_oracle(wide, 2, left, diag))
+        pattern = dm._pattern(wide, 2)
+        assert_same_csr(pattern.assemble(pattern.entries(left, diag)), stencil_oracle(wide, 2, left, diag))
 
     def test_repeated_fills_with_no_dropped_entry_and_a_tiny_mean(self):
         # no zero flow component and a shift with no zero component: every
