@@ -24,7 +24,11 @@ the paired band, and both reduce to cosines and sine integrals.
 
 Band data are the leading eigenpairs at every node of a box; the nodes
 share one flow and truncation, so the modal stencil pattern is built once
-and each node only fills in its shift and diffusivity.
+and each node only fills in its shift and diffusivity.  The nodes are
+solved together by ``modal.leading_eigs_box``: one sparse LU of the
+block-diagonal shifted operator per chunk of nodes and one lockstep
+Arnoldi build, with ARPACK (``modal.leading_eigs``) for any node that build
+does not converge.
 """
 
 from __future__ import annotations
@@ -498,10 +502,10 @@ def prepare_band_pairs(flow, nodes, eps_ratio: float, truncation: int) -> list:
     Raises band-broken if the leading eigenvalue fails to be simple at
     some node (degenerate bands cannot be phase-coherently synthesized).
     """
+    nodes = np.asarray(nodes, dtype=float)
+    specs = [modal.ModalOperatorSpec(flow=flow, j=j, eps=eps_ratio, truncation=truncation) for j in nodes]
     pairs = []
-    for i, j in enumerate(np.asarray(nodes, dtype=float)):
-        spec = modal.ModalOperatorSpec(flow=flow, j=j, eps=eps_ratio, truncation=truncation)
-        eigs = modal.leading_eigs(spec, count=2)
+    for i, (j, eigs) in enumerate(zip(nodes, modal.leading_eigs_box(specs, count=2))):
         gap = abs(eigs[0].p - eigs[1].p)
         if gap <= 1e-8 * max(1.0, abs(eigs[0].p)):
             raise BandBroken(

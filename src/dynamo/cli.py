@@ -39,6 +39,8 @@ _DEFAULT_OUTDIR = "dynamo-out"
 
 
 def _fmt(v) -> str:
+    if type(v) is float:  # the common case first: callers pass arrays as Python scalars
+        return format(v, ".17g")
     if isinstance(v, (bool, np.bool_)):
         return "1" if v else "0"
     if isinstance(v, (int, np.integer)):
@@ -271,8 +273,8 @@ def _cmd_evolve(args, outdir: Path) -> dict:
     _write_csv(
         outdir / "trace.csv",
         ["t", "norm", "slack_growth_bound", "slack_energy_estimate", "div_drift"],
-        zip(tr.t, tr.norm, tr.slack_growth_bound, tr.slack_energy_estimate,
-            tr.div_drift),
+        zip(tr.t.tolist(), tr.norm.tolist(), tr.slack_growth_bound.tolist(),
+            tr.slack_energy_estimate.tolist(), tr.div_drift.tolist()),
     )
     fit = ev.fit_growth(run)
     energy = ev.energy_monitor(run)

@@ -178,28 +178,30 @@ class CutoffSpec:
     def profile(self, r) -> np.ndarray:
         return self.profile_derivatives(r)[0]
 
-    def value(self, points: np.ndarray) -> np.ndarray:
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
-        return self.profile(np.linalg.norm(pts - self.center, axis=1))
+    def derivatives(self, points: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(phi, grad phi, D^2 phi) at the points, from one radial evaluation.
 
-    def gradient(self, points: np.ndarray) -> np.ndarray:
+        The gradient is phi' times the unit offset; the Hessian is phi'' on
+        the radial direction and phi'/r on the two tangential ones.
+        """
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         d = pts - self.center
         r = np.linalg.norm(d, axis=1)
-        _, d1, _ = self.profile_derivatives(r)
-        unit = np.divide(d, r[:, None], out=np.zeros_like(d), where=r[:, None] > 0)
-        return d1[:, None] * unit
-
-    def hessian(self, points: np.ndarray) -> np.ndarray:
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
-        d = pts - self.center
-        r = np.linalg.norm(d, axis=1)
-        _, d1, d2 = self.profile_derivatives(r)
+        phi, d1, d2 = self.profile_derivatives(r)
         unit = np.divide(d, r[:, None], out=np.zeros_like(d), where=r[:, None] > 0)
         tang = np.divide(d1, r, out=np.zeros_like(d1), where=r > 0)
         outer = unit[:, :, None] * unit[:, None, :]
         eye = np.eye(3)[None, :, :]
-        return (d2 - tang)[:, None, None] * outer + tang[:, None, None] * eye
+        return phi, d1[:, None] * unit, (d2 - tang)[:, None, None] * outer + tang[:, None, None] * eye
+
+    def value(self, points: np.ndarray) -> np.ndarray:
+        return self.derivatives(points)[0]
+
+    def gradient(self, points: np.ndarray) -> np.ndarray:
+        return self.derivatives(points)[1]
+
+    def hessian(self, points: np.ndarray) -> np.ndarray:
+        return self.derivatives(points)[2]
 
     def derivative_budget_measured(self) -> float:
         """sup over the ramp of |grad phi| + ||D^2 phi||_2 (4001 radial samples).
@@ -473,7 +475,7 @@ def _local_fields(
     ju = df.eval_jacobian_at_points(flow_n, offsets).real
 
     cut = CutoffSpec(np.zeros(3), plateau, outer)
-    phi, dphi, hphi = cut.value(offsets), cut.gradient(offsets), cut.hessian(offsets)
+    phi, dphi, hphi = cut.derivatives(offsets)
 
     u = phi[:, None] * uval + np.cross(dphi, psi)
     grad = phi[:, None, None] * ju + uval[:, :, None] * dphi[:, None, :]

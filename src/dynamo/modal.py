@@ -21,7 +21,9 @@ the cell data and cell solve in alpha and the time stepper in evolve all
 come from it;
 ``apply_modal``, an independent matrix-free FFT apply, is the reference
 for oracles only and no production path calls it.  On top
-sit the eigensolver, shift-invert Arnoldi on a sparse LU of the stencil,
+sit the eigensolver, shift-invert Arnoldi on a sparse LU of the stencil
+(ARPACK for one operator; for the nodes of a band box, ARPACK's first
+Arnoldi build run at every node in lockstep on one block-diagonal LU),
 contour (Riesz) projectors with certified idempotency, an
 argument-principle eigenvalue count, first-order perturbation checks,
 continuation of an eigenpair in eps, and the quantitative projector
@@ -43,6 +45,7 @@ the cell solve in alpha is one more such factor, at j = 0.
 from __future__ import annotations
 
 import cmath
+import copy
 import functools
 import itertools
 import math
@@ -65,6 +68,7 @@ from .errors import (
 
 DENSE_CAP = 8000  # largest flat dimension for which dense paths are allowed
 MAX_NODES = 256  # most quadrature nodes a projector or an eigenvalue count doubles to
+BOX_BYTES = 1 << 21  # Krylov basis bytes one chunk of leading_eigs_box holds
 
 
 @dataclass(frozen=True, eq=False)
@@ -290,6 +294,17 @@ def _make_pair(matrix: sp.sparray, spec: ModalOperatorSpec, p: complex, h: df.Sp
     )
 
 
+def _shift(spec: ModalOperatorSpec, count: int, sigma: complex | None) -> complex:
+    """The shift of a shift-invert solve for ``count`` pairs: sigma, by default 0.1 eps."""
+    if not 1 <= count <= spec.dim - 2:
+        raise ConfigError(f"shift-invert Arnoldi returns 1 to {spec.dim - 2} eigenpairs, not {count}")
+    if sigma is None:
+        sigma = 0.1 * spec.eps
+    if not cmath.isfinite(sigma):
+        raise ConfigError(f"shift sigma must be finite, got {sigma}")
+    return sigma
+
+
 def leading_eigs(
     spec: ModalOperatorSpec,
     count: int = 6,
@@ -304,12 +319,7 @@ def leading_eigs(
     eigenvalues near zero that carry the alpha instability, so the nearest
     eigenvalues are the leading ones.  ARPACK returns at most dim - 2.
     """
-    if not 1 <= count <= spec.dim - 2:
-        raise ConfigError(f"shift-invert Arnoldi returns 1 to {spec.dim - 2} eigenpairs, not {count}")
-    if sigma is None:
-        sigma = 0.1 * spec.eps
-    if not cmath.isfinite(sigma):
-        raise ConfigError(f"shift sigma must be finite, got {sigma}")
+    sigma = _shift(spec, count, sigma)
     res = _Resolvent(spec)
     # the seed fixes the start vector and any restart vector ARPACK draws
     # after a breakdown, which scipy would otherwise take from OS entropy
@@ -325,6 +335,104 @@ def leading_eigs(
         raise EigsFailed(f"shift-invert Arnoldi failed: {exc}") from exc
     order = eig_order(vals)
     return [_make_pair(res.matrix, spec, vals[i], vec_to_field(vecs[:, i], spec.truncation)) for i in order]
+
+
+def leading_eigs_box(
+    specs,
+    count: int = 2,
+    sigma: complex | None = None,
+    seed: int = 0,
+) -> list[list[EigPair]]:
+    """``leading_eigs`` at every operator of one stencil structure, the operators solved in lockstep.
+
+    ARPACK converges the leading pairs of a band node within its first
+    Arnoldi build, and at N = 1 its own bookkeeping costs more than the
+    node's LU and solves.  Here the nodes run that first build together:
+    one sparse LU of the block-diagonal sigma I - L per chunk of nodes,
+    one block solve per Arnoldi step, two passes of classical Gram-Schmidt
+    as batched products, and the Ritz pairs of every node's Hessenberg
+    matrix from one batched ``eig``.  Each node starts from the vector
+    ``leading_eigs`` draws from ``seed`` and builds ARPACK's default Krylov
+    length, max(2 count + 1, 20).  It keeps the ``count`` Ritz values of
+    largest modulus when all pass ARPACK's acceptance test,
+    |beta_m y_m| <= eps |theta|; a node whose Krylov space breaks down or
+    whose estimates fail, and every node of a chunk whose LU fails, is
+    solved again by ``leading_eigs``, as is every node of an operator too
+    small for that Krylov length.  Chunks hold at most BOX_BYTES of Krylov
+    basis, so memory stays bounded whatever the number of nodes.
+    """
+    specs = list(specs)
+    if not specs:
+        return []
+    sigmas = np.array([_shift(spec, count, sigma) for spec in specs], dtype=np.complex128)
+    dim = specs[0].dim
+    length = max(2 * count + 1, 20)
+    if length >= dim:
+        return [leading_eigs(spec, count, sigma, seed) for spec in specs]
+    v0 = np.random.default_rng(seed).standard_normal(dim) + 0.0j
+    per = max(1, BOX_BYTES // ((length + 1) * dim * 16))
+    out = []
+    for at in range(0, len(specs), per):
+        out += _arnoldi_box(specs[at:at + per], count, sigmas[at:at + per], v0, length)
+    return [pairs if pairs is not None else leading_eigs(spec, count, sigma, seed)
+            for spec, pairs in zip(specs, out)]
+
+
+# a Krylov step that leaves less than this fraction of OP v finds the space
+# invariant; above it, two Gram-Schmidt passes keep the basis orthogonal to
+# working precision (Giraud, Langou and Rozloznik, Numer. Math. 101, 2005)
+_INVARIANT = math.sqrt(np.finfo(float).eps)
+
+
+def _arnoldi_box(specs: list, count: int, sigmas: np.ndarray, v0: np.ndarray, length: int) -> list:
+    """ARPACK's first Arnoldi build at every node of a chunk, in lockstep; None where a node needs ARPACK itself.
+
+    The Arnoldi operator is (sigma I - L)^-1 = -(L - sigma I)^-1, whose
+    Ritz values are the negated ones ARPACK sees, so p = sigma - 1/theta.
+    """
+    count_nodes, dim = len(specs), specs[0].dim
+    res = _Resolvent(*specs)
+    try:
+        lu = res.factor(np.repeat(sigmas, dim))[0]
+    except ContourTouchesSpectrum:  # some node's sigma is exactly singular
+        return [None] * count_nodes
+    basis = np.empty((count_nodes, length + 1, dim), dtype=np.complex128)
+    hess = np.zeros((count_nodes, length + 1, length), dtype=np.complex128)
+    basis[:, 0] = v0 / np.linalg.norm(v0)
+    broken = np.zeros(count_nodes, dtype=bool)
+    for k in range(length):
+        w = lu.solve(basis[:, k].reshape(-1)).reshape(count_nodes, dim)
+        applied = np.linalg.norm(w, axis=1)
+        span = basis[:, :k + 1]
+        for _ in range(2):
+            # <v_i, w> = conj(v_i^T conj(w)): one batched product, and conj only on small arrays
+            c = (span @ w.conj()[:, :, None])[:, :, 0].conj()
+            w -= (c[:, None, :] @ span)[:, 0]
+            hess[:, :k + 1, k] += c
+        beta = np.linalg.norm(w, axis=1)
+        broken |= beta <= _INVARIANT * applied
+        hess[:, k + 1, k] = beta
+        basis[:, k + 1] = w / np.where(broken, 1.0, beta)[:, None]
+    out: list = [None] * count_nodes
+    ok = np.flatnonzero(~broken)
+    try:
+        theta, y = np.linalg.eig(hess[ok, :length])
+    except np.linalg.LinAlgError:  # the QR iteration of some Hessenberg did not converge
+        return out
+    top = np.argsort(-np.abs(theta), axis=1, kind="stable")[:, :count]
+    theta = np.take_along_axis(theta, top, axis=1)
+    y = np.take_along_axis(y, top[:, None, :], axis=2)
+    # ARPACK's Ritz estimates |beta_m y_m| against eps max(eps^(2/3), |theta|)
+    eps = np.finfo(float).eps
+    estimates = np.abs(hess[ok, length, length - 1][:, None] * y[:, -1, :])
+    converged = np.all(estimates <= eps * np.maximum(eps ** (2.0 / 3.0), np.abs(theta)), axis=1)
+    for row, i in enumerate(ok):
+        if converged[row]:
+            p = sigmas[i] - 1.0 / theta[row]
+            vecs = y[row].T @ basis[i, :length]
+            out[i] = [_make_pair(res.matrices[i], specs[i], p[c], vec_to_field(vecs[c], specs[i].truncation))
+                      for c in eig_order(p)]
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -432,6 +540,23 @@ class _Layout:
             vals = np.add.reduceat(vals, self.starts)
         return vals[self.source]
 
+    def tiled(self, count: int) -> _Layout:
+        """The layout of the block-diagonal matrix of ``count`` operators of this structure.
+
+        Slots and permutations repeat block by block; ``values`` still maps
+        one operator's entries, so the block's values are the operators'
+        values one after another.
+        """
+        out = copy.copy(self)
+        size, slots = len(self.perm), len(self.indices)
+        block = np.arange(count)[:, None]
+        out.perm = (self.perm + size * block).reshape(-1)
+        out.perm_c = (self.perm_c + size * block).reshape(-1)
+        out.indices = (self.indices + size * block).reshape(-1).astype(np.int32)
+        out.indptr = np.append((self.indptr[:-1] + slots * block).reshape(-1), count * slots).astype(np.int32)
+        out.diagonal = (self.diagonal + slots * block).reshape(-1)
+        return out
+
 
 @dataclass(frozen=True, eq=False)
 class _NodeFactor:
@@ -445,13 +570,15 @@ class _NodeFactor:
 
 
 class _Resolvent:
-    """The stencil of one operator and the sparse LUs of mu I - L.
+    """The stencils of one or more operators of one structure and the sparse LUs of mu I - L.
 
     The one place that shifts and factors the stencil: ``factor`` serves any
     mu, the eigensolver's sigma included.  It writes -L into the layout of
     the stencil's structure, adds mu on the diagonal slots and factors in
     the structure's fill-reducing order, which SuperLU computes once per
-    structure, so each mu costs a value fill and a numeric LU.  ``lu`` adds
+    structure, so each mu costs a value fill and a numeric LU.  Several
+    operators are one block-diagonal L, factored by one LU in the tiled
+    layout; their own stencils are ``matrices``.  ``lu`` adds
     the quadrature nodes' condition gate and keeps each node's factor.  The
     trapezoid nodes of n points are bitwise the even nodes of 2n points, so
     a contour whose node count doubles reuses every factor made so far.
@@ -462,20 +589,34 @@ class _Resolvent:
     The cell solve in alpha factors it at j = 0 with one value per unknown.
     """
 
-    def __init__(self, spec: ModalOperatorSpec):
-        pattern, entries = _entries(spec)
-        self.matrix = pattern.assemble(entries)
-        self._layout = pattern.structure.layout
-        self._negated = -self._layout.values(entries)
+    def __init__(self, *specs: ModalOperatorSpec):
+        structure = _pattern(specs[0].flow, specs[0].truncation).structure
+        layout, slots = structure.layout, len(structure.layout.indices)
+        self.matrices = []
+        self._negated = np.empty(len(specs) * slots, dtype=np.complex128)
+        for k, spec in enumerate(specs):
+            pattern, entries = _entries(spec)
+            if pattern.structure is not structure:
+                raise ConfigError("the operators of one resolvent must share one stencil structure")
+            self.matrices.append(pattern.assemble(entries))
+            # -L in the layout's slots, one operator after another
+            np.negative(layout.values(entries), out=self._negated[k * slots:(k + 1) * slots])
+        self._layout = layout if len(specs) == 1 else layout.tiled(len(specs))
         self._lus: dict[complex, _NodeFactor] = {}
         self._phases: dict[complex, float] = {}
+
+    @functools.cached_property
+    def matrix(self) -> sp.csr_array:
+        """The stencil of L; of several operators, the block-diagonal one."""
+        return self.matrices[0] if len(self.matrices) == 1 else sp.block_diag(self.matrices, format="csr")
 
     def factor(self, mu) -> tuple[_NodeFactor, np.ndarray]:
         """Sparse LU of mu I - L, and its values in the structure's layout; an array mu is diag(mu)."""
         layout = self._layout
         data = self._negated.copy()
         data[layout.diagonal] += mu if np.ndim(mu) == 0 else mu[layout.perm]
-        m = sp.csc_array((data, layout.indices, layout.indptr), shape=self.matrix.shape)
+        size = len(layout.perm)
+        m = sp.csc_array((data, layout.indices, layout.indptr), shape=(size, size))
         try:
             return _NodeFactor(spla.splu(m, permc_spec="NATURAL"), layout), data
         except RuntimeError as exc:  # exactly singular pivot
@@ -524,6 +665,8 @@ def _contour_sum(res: _Resolvent, contour: Contour, block: np.ndarray, trans: st
 
 def _parity(perm: np.ndarray) -> int:
     """Parity of a permutation: its length minus its number of cycles, mod 2."""
+    if np.array_equal(perm, np.arange(len(perm))):  # natural order and diagonal pivots
+        return 0
     perm = perm.tolist()
     seen = [False] * len(perm)
     cycles = 0

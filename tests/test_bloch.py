@@ -508,6 +508,12 @@ class TestBandDatum:
                 _abc_flow(), np.zeros(3), 0.01, truncation=1, nodes_per_axis=1
             )
 
+    def test_degenerate_node_breaks_a_box(self):
+        # j = 0 carries the three-dimensional kernel of L(0, 1) among regular nodes
+        nodes = np.array([J_STAR, -J_STAR, np.zeros(3), 2 * J_STAR])
+        with pytest.raises(BandBroken, match="node 2"):
+            bloch.prepare_band_pairs(_abc_flow(), nodes, 1.0, 1)
+
     def test_quadrature_consistency_of_rhs(self, rng):
         # Smooth non-polynomial j-dependence: doubling the rule must move
         # the coefficient-space mass by < 1e-6 relative.

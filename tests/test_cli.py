@@ -510,6 +510,26 @@ class TestConfigAndEnvironment:
         assert not (tmp_path / "env-out").exists()
 
 
+def _fmt_reference(v) -> str:
+    """The CSV cell format: an isinstance chain over Python and numpy scalars."""
+    if isinstance(v, (bool, np.bool_)):
+        return "1" if v else "0"
+    if isinstance(v, (int, np.integer)):
+        return str(int(v))
+    if isinstance(v, (float, np.floating)):
+        return format(float(v), ".17g")
+    return str(v)
+
+
+def test_csv_cells_format_python_and_numpy_scalars_alike():
+    floats = np.concatenate((np.random.default_rng(3).standard_normal(50) * 10.0 ** np.arange(-25, 25),
+                             [np.inf, -np.inf, np.nan, -0.0, 0.0, 5e-324, 1.7976931348623157e308]))
+    values = [True, False, np.bool_(True), np.bool_(False), 0, -7, 2**70, np.int64(-3), np.int32(12),
+              np.uint8(255), np.float32(0.1), np.float16(-0.0), "name", *floats, *floats.tolist()]
+    for v in values:
+        assert cli._fmt(v) == _fmt_reference(v), repr(v)
+
+
 class TestManifest:
     def test_manifest_records_provenance(self, tmp_path):
         code, _, manifest = run(

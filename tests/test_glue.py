@@ -132,6 +132,24 @@ class TestCutoff:
         assert 0.0 <= phi[0] <= 1.0
         assert phi[1] <= phi[0] + 1e-15
 
+    def test_derivatives_bit_identical_to_separate_formulas(self, rng):
+        cut = glue.CutoffSpec(np.array([0.3, -0.2, 0.1]), 1.5, 4.0)
+        unit = rng.standard_normal((4, 3))
+        unit /= np.linalg.norm(unit, axis=1, keepdims=True)
+        # random points, the center, and points on both radii and just inside them
+        pts = np.concatenate((cut.center + rng.uniform(-4.5, 4.5, size=(40, 3)), cut.center[None, :],
+                              cut.center + unit * [[1.5], [4.0], [1.5 - 1e-9], [4.0 - 1e-9]]))
+        d = pts - cut.center
+        r = np.linalg.norm(d, axis=1)
+        phi, d1, d2 = cut.profile_derivatives(r)
+        u = np.divide(d, r[:, None], out=np.zeros_like(d), where=r[:, None] > 0)
+        tang = np.divide(d1, r, out=np.zeros_like(d1), where=r > 0)
+        hess = (d2 - tang)[:, None, None] * (u[:, :, None] * u[:, None, :]) + tang[:, None, None] * np.eye(3)[None]
+        got = cut.derivatives(pts)
+        for g, want, single in zip(got, (phi, d1[:, None] * u, hess), (cut.value, cut.gradient, cut.hessian)):
+            assert np.array_equal(g, want)
+            assert np.array_equal(single(pts), want)
+
     def test_gradient_and_hessian_against_differences(self, rng):
         cut = glue.CutoffSpec(np.array([0.3, -0.2, 0.1]), 1.5, 4.0)
         pts = cut.center + rng.uniform(-3.5, 3.5, size=(40, 3))

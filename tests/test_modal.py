@@ -453,6 +453,120 @@ class TestLeadingEigs:
                 dm.leading_eigs(spec, count=count)
 
 
+def box_specs(flow, n, eps=1.0, per_axis=2):
+    """The operators of a band box about an axis centre: per_axis^3 Gauss-Legendre nodes."""
+    nodes, _ = bloch.gauss_legendre_box(np.array([0.11, 0.0, 0.0]), 0.1, per_axis)
+    return [dm.ModalOperatorSpec(flow, j, eps, n) for j in nodes]
+
+
+def record_calls(monkeypatch, owner, name) -> list:
+    """Replace owner.name by a wrapper that records the arguments of every call."""
+    calls = []
+
+    def recorded(*args, _orig=getattr(owner, name), **kwargs):
+        calls.append(args)
+        return _orig(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, recorded)
+    return calls
+
+
+def assert_same_pairs(got, want):
+    assert [t.p for t in got] == [t.p for t in want]
+    for g, w in zip(got, want):
+        assert np.array_equal(g.field.coeffs, w.field.coeffs)
+        assert g.residual == w.residual
+
+
+class TestLeadingEigsBox:
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_matches_arpack_at_every_node(self, monkeypatch, n):
+        rng = np.random.default_rng(40 + n)
+        flows = (workload_flow(), df.random_real_field(1, rng, div_free=True, amplitude=0.3))
+        for flow, eps, count in ((flows[0], 1.0, 2), (flows[1], 0.9, 2), (flows[0], 0.9, 3)):
+            specs = box_specs(flow, n, eps)
+            want = [dm.leading_eigs(spec, count=count) for spec in specs]
+            fallbacks = record_calls(monkeypatch, dm, "leading_eigs")
+            got = dm.leading_eigs_box(specs, count=count)
+            monkeypatch.undo()
+            assert fallbacks == []
+            for g_node, w_node in zip(got, want, strict=True):
+                assert len(g_node) == len(w_node) == count
+                for g, w in zip(g_node, w_node):
+                    assert abs(g.p - w.p) <= 1e-14 * max(1.0, abs(w.p))
+                    assert np.max(np.abs(g.field.coeffs - w.field.coeffs)) <= 1e-12
+                    assert g.residual <= 1e-12
+
+    def test_invariant_krylov_space_falls_back_to_arpack(self, monkeypatch):
+        # without a flow L is diagonal; at j = 0 and N = 1 it has the four
+        # eigenvalues -|k|^2, so the Krylov space is invariant after four steps,
+        # while at the other shifts, with three distinct components, the 27
+        # values -|k + j|^2 differ
+        shifts = (np.array([0.11, 0.023, -0.047]), np.zeros(3), np.array([0.07, -0.031, 0.013]))
+        specs = [dm.ModalOperatorSpec(df.zero_field(1), j, 1.0, 1) for j in shifts]
+        fallbacks = record_calls(monkeypatch, dm, "leading_eigs")
+        got = dm.leading_eigs_box(specs)
+        assert [args[0] for args in fallbacks] == [specs[1]]
+        monkeypatch.undo()
+        assert_same_pairs(got[1], dm.leading_eigs(specs[1], count=2))
+
+    def test_unconverged_ritz_values_fall_back_to_arpack(self, monkeypatch):
+        specs = box_specs(workload_flow(), 1)
+        arnoldi = dm._arnoldi_box
+        monkeypatch.setattr(dm, "_arnoldi_box", lambda specs, count, sigmas, v0, length:
+                            arnoldi(specs, count, sigmas, v0, 5))
+        fallbacks = record_calls(monkeypatch, dm, "leading_eigs")
+        got = dm.leading_eigs_box(specs)
+        assert [args[0] for args in fallbacks] == specs
+        monkeypatch.undo()
+        for spec, pairs in zip(specs, got, strict=True):
+            assert_same_pairs(pairs, dm.leading_eigs(spec, count=2))
+
+    def test_singular_block_falls_back_node_by_node(self, monkeypatch):
+        # without a flow L is diagonal, -1 at j = 0 but nowhere at j = (0.1, 0, 0)
+        regular, singular = (dm.ModalOperatorSpec(df.zero_field(1), j, 1.0, 1)
+                             for j in (np.array([0.1, 0.0, 0.0]), np.zeros(3)))
+        fallbacks = record_calls(monkeypatch, dm, "leading_eigs")
+        with pytest.raises(EigsFailed):
+            dm.leading_eigs_box([regular, singular], sigma=-1.0)
+        assert [args[0] for args in fallbacks] == [regular, singular]
+
+    def test_repeatable_and_independent_of_chunking(self, monkeypatch):
+        specs = box_specs(workload_flow(), 2)
+        first, again = dm.leading_eigs_box(specs), dm.leading_eigs_box(specs)
+        monkeypatch.setattr(dm, "BOX_BYTES", 1)  # one node per chunk
+        single = dm.leading_eigs_box(specs)
+        for a, b, c in zip(first, again, single, strict=True):
+            assert_same_pairs(a, b)
+            assert_same_pairs(a, c)
+
+    def test_band_box_is_one_factorization_and_no_arpack(self, monkeypatch):
+        nodes, _ = bloch.gauss_legendre_box(np.array([0.11, 0.0, 0.0]), 0.1, 4)
+        factorizations = count_factorizations(monkeypatch)
+        fallbacks = record_calls(monkeypatch, dm, "leading_eigs")
+        assert len(bloch.prepare_band_pairs(workload_flow(), nodes, 1.0, 1)) == 64
+        assert fallbacks == []
+        assert factorizations == {"lu_factor": 0, "splu": 1, "ordering": 1}
+
+    def test_default_box_memory_is_chunked(self):
+        # the CLI's default box: N = 2 and 125 nodes, in chunks of 16; the
+        # Krylov bases of all 125 nodes alone would take 15 MiB
+        nodes, _ = bloch.gauss_legendre_box(np.array([0.11, 0.0, 0.0]), 0.1, 5)
+        bloch.prepare_band_pairs(workload_flow(), nodes[:1], 1.0, 2)
+        pairs, peak = traced_peak(lambda: bloch.prepare_band_pairs(workload_flow(), nodes, 1.0, 2))
+        assert len(pairs) == 125
+        assert peak <= 8 * 2**20
+
+    def test_rejects_what_leading_eigs_rejects(self):
+        specs = box_specs(small_abc(0.3), 1)
+        assert dm.leading_eigs_box([]) == []
+        for count, sigma in ((0, None), (specs[0].dim - 1, None), (2, np.nan)):
+            with pytest.raises(ConfigError):
+                dm.leading_eigs_box(specs, count=count, sigma=sigma)
+        with pytest.raises(ConfigError):
+            dm.leading_eigs_box([specs[0], dm.ModalOperatorSpec(small_abc(0.3), np.zeros(3), 1.0, 2)])
+
+
 class TestKernelBasis:
     def test_zero_flow_constants(self):
         basis = kernel_basis(df.zero_field(1), 1)
@@ -575,6 +689,16 @@ class TestRieszProjector:
         assert dm.Contour(0.0, 0.5, np.int64(16)).points()[0].size == 16
 
 
+def test_parity_matches_the_inversion_count():
+    # the parity of a permutation is that of its number of inversions
+    rng = np.random.default_rng(17)
+    perms = [np.arange(n) for n in (0, 1, 81)] + [rng.permutation(n) for n in (2, 3, 10, 81, 200) for _ in range(4)]
+    perms.append(np.array([1, 0, *range(2, 40)]))
+    for perm in perms:
+        inversions = sum(int(np.sum(perm[i + 1:] < perm[i])) for i in range(len(perm)))
+        assert dm._parity(perm) == inversions % 2
+
+
 class TestCount:
     @pytest.mark.parametrize("flow, j, contour, want", [
         (df.zero_field(1), (0.0, 0.0, 0.0), (0.0, 0.5), 3),
@@ -648,9 +772,16 @@ def test_production_paths_use_no_dense_eigensolver(monkeypatch, tmp_path):
 
         monkeypatch.setattr(owner, name, call)
 
-    # the 3 x 3 alpha matrix is the one dense eigenproblem allowed
+    def hessenberg_stack(a):
+        # the band box's Ritz values: m x m Hessenberg matrices, m below every dim used here
+        a = np.asarray(a)
+        return a.ndim == 3 and a.shape[1] == a.shape[2] < 81 and not np.any(np.tril(a, -2))
+
+    # the 3 x 3 alpha matrix is the one dense eigenproblem of an operator allowed
     refuse(scipy.linalg, "eig", allowed=lambda a: np.shape(a) == (3, 3))
     refuse(scipy.linalg, "eigvals")
+    refuse(np.linalg, "eig", allowed=lambda a: np.shape(a) == (3, 3) or hessenberg_stack(a))
+    refuse(np.linalg, "eigvals")
     refuse(dm, "assemble_dense")
     u = small_abc(0.3)
     j = np.array([0.0, 0.0, 0.045])
