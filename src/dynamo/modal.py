@@ -337,45 +337,40 @@ def leading_eigs(
     return [_make_pair(res.matrix, spec, vals[i], vec_to_field(vecs[:, i], spec.truncation)) for i in order]
 
 
-def leading_eigs_box(
-    specs,
-    count: int = 2,
-    sigma: complex | None = None,
-    seed: int = 0,
-) -> list[list[EigPair]]:
+def leading_eigs_box(specs, count: int = 2) -> list[list[EigPair]]:
     """``leading_eigs`` at every operator of one stencil structure, the operators solved in lockstep.
 
     ARPACK converges the leading pairs of a band node within its first
     Arnoldi build, and at N = 1 its own bookkeeping costs more than the
     node's LU and solves.  Here the nodes run that first build together:
     one sparse LU of the block-diagonal sigma I - L per chunk of nodes,
-    one block solve per Arnoldi step, two passes of classical Gram-Schmidt
-    as batched products, and the Ritz pairs of every node's Hessenberg
-    matrix from one batched ``eig``.  Each node starts from the vector
-    ``leading_eigs`` draws from ``seed`` and builds ARPACK's default Krylov
-    length, max(2 count + 1, 20).  It keeps the ``count`` Ritz values of
-    largest modulus when all pass ARPACK's acceptance test,
-    |beta_m y_m| <= eps |theta|; a node whose Krylov space breaks down or
-    whose estimates fail, and every node of a chunk whose LU fails, is
-    solved again by ``leading_eigs``, as is every node of an operator too
-    small for that Krylov length.  Chunks hold at most BOX_BYTES of Krylov
-    basis, so memory stays bounded whatever the number of nodes.
+    sigma = 0.1 eps at each node as in ``leading_eigs``, one block solve per
+    Arnoldi step, two passes of classical Gram-Schmidt as batched products,
+    and the Ritz pairs of every node's Hessenberg matrix from one batched
+    ``eig``.  Each node starts from ``leading_eigs``'s default start vector
+    and builds ARPACK's default Krylov length, max(2 count + 1, 20).  It
+    keeps the ``count`` Ritz values of largest modulus when all pass
+    ARPACK's acceptance test, |beta_m y_m| <= eps max(eps^(2/3), |theta|);
+    a node whose Krylov space breaks down or whose estimates fail, and every
+    node of a chunk whose LU fails, is solved again by ``leading_eigs``, as
+    is every node of an operator too small for that Krylov length.  Chunks
+    hold at most BOX_BYTES of Krylov basis, so memory stays bounded whatever
+    the number of nodes.
     """
     specs = list(specs)
     if not specs:
         return []
-    sigmas = np.array([_shift(spec, count, sigma) for spec in specs], dtype=np.complex128)
+    sigmas = np.array([_shift(spec, count, None) for spec in specs], dtype=np.complex128)
     dim = specs[0].dim
     length = max(2 * count + 1, 20)
     if length >= dim:
-        return [leading_eigs(spec, count, sigma, seed) for spec in specs]
-    v0 = np.random.default_rng(seed).standard_normal(dim) + 0.0j
+        return [leading_eigs(spec, count) for spec in specs]
+    v0 = np.random.default_rng(0).standard_normal(dim) + 0.0j
     per = max(1, BOX_BYTES // ((length + 1) * dim * 16))
     out = []
     for at in range(0, len(specs), per):
         out += _arnoldi_box(specs[at:at + per], count, sigmas[at:at + per], v0, length)
-    return [pairs if pairs is not None else leading_eigs(spec, count, sigma, seed)
-            for spec, pairs in zip(specs, out)]
+    return [pairs if pairs is not None else leading_eigs(spec, count) for spec, pairs in zip(specs, out)]
 
 
 # a Krylov step that leaves less than this fraction of OP v finds the space
@@ -578,7 +573,8 @@ class _Resolvent:
     the structure's fill-reducing order, which SuperLU computes once per
     structure, so each mu costs a value fill and a numeric LU.  Several
     operators are one block-diagonal L, factored by one LU in the tiled
-    layout; their own stencils are ``matrices``.  ``lu`` adds
+    layout; their own stencils are ``matrices``, and ``matrix`` is the
+    first, L itself for a single operator.  ``lu`` adds
     the quadrature nodes' condition gate and keeps each node's factor.  The
     trapezoid nodes of n points are bitwise the even nodes of 2n points, so
     a contour whose node count doubles reuses every factor made so far.
@@ -601,14 +597,10 @@ class _Resolvent:
             self.matrices.append(pattern.assemble(entries))
             # -L in the layout's slots, one operator after another
             np.negative(layout.values(entries), out=self._negated[k * slots:(k + 1) * slots])
+        self.matrix = self.matrices[0]
         self._layout = layout if len(specs) == 1 else layout.tiled(len(specs))
         self._lus: dict[complex, _NodeFactor] = {}
         self._phases: dict[complex, float] = {}
-
-    @functools.cached_property
-    def matrix(self) -> sp.csr_array:
-        """The stencil of L; of several operators, the block-diagonal one."""
-        return self.matrices[0] if len(self.matrices) == 1 else sp.block_diag(self.matrices, format="csr")
 
     def factor(self, mu) -> tuple[_NodeFactor, np.ndarray]:
         """Sparse LU of mu I - L, and its values in the structure's layout; an array mu is diag(mu)."""
@@ -629,7 +621,7 @@ class _Resolvent:
             lu, data = self.factor(mu)
             # ||mu I - L||_1, the largest column sum, which the symmetric permutation only reorders
             norm1 = float(np.add.reduceat(np.abs(data), self._layout.indptr[:-1]).max())
-            rcond = 1.0 / (norm1 * _inv_norm1(lu, self.matrix.shape[0]))
+            rcond = 1.0 / (norm1 * _inv_norm1(lu, len(self._layout.perm)))
             if rcond < 1e-14:
                 raise ContourTouchesSpectrum(f"resolvent nearly singular at node {mu:.6g} (rcond {rcond:.2e})")
             self._lus[mu] = lu
