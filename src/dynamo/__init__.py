@@ -1,11 +1,6 @@
 """Spectral toolkit for alpha-effect instability and kinematic dynamo growth."""
 
-try:
-    from importlib.metadata import version as _version
-
-    __version__ = _version("dynamo")
-except Exception:  # pragma: no cover - editable/dev installs without metadata
-    __version__ = "0.1.0"
+__version__ = "0.1.0"  # the one source: pyproject.toml reads it
 
 from .errors import ConfigError, DynamoError, NumericalError
 from .fields import AbcParams, SpectralField, make_abc

@@ -121,7 +121,7 @@ def _solve_cells(flow: df.SpectralField, vs, tol: float, truncation: int | None)
     for col, i in enumerate(live):
         x = sol[:, col].copy()
         res = float(np.linalg.norm(a @ x - cols[i])) / dnorms[i]
-        if res > max(10.0 * tol, 1e-11):
+        if not res <= max(10.0 * tol, 1e-11):  # a NaN residual fails too
             raise SolverFailure(f"direct cell solve residual {res:.2e} exceeds tolerance")
         sols[i] = CellSolution(vs[i], modal.vec_to_field(x, n, kind=kinds[i]), res)
     return sols

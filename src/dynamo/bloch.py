@@ -22,13 +22,13 @@ The constant-envelope band has closed forms too: each axis of its box mass
 is an integral of (2 sin(Jx)/x)^2, times cos(2 j*_a x) for the cross term of
 the paired band, and both reduce to cosines and sine integrals.
 
-Band data are the leading eigenpairs at every node of a box; the nodes
-share one flow and truncation, so the modal stencil pattern is built once
-and each node only fills in its shift and diffusivity.  The nodes are
-solved together by ``modal.leading_eigs_box``: one sparse LU of the
-block-diagonal shifted operator per chunk of nodes and one lockstep
-Arnoldi build, with ARPACK (``modal.leading_eigs``) for any node that build
-does not converge.
+Band data are the leading eigenpair at every node of a box, shown simple
+by its gap to the next eigenvalue.  The nodes share one flow and
+truncation, so the stencil pattern is built once, and they are solved
+together by ``modal.leading_eigs_box``, which returns each node's leading
+pair and two leading eigenvalues: one sparse LU of the block-diagonal
+shifted operator per chunk of nodes and one lockstep Arnoldi build, with
+ARPACK (``modal.leading_eigs``) for any node that build does not converge.
 """
 
 from __future__ import annotations
@@ -67,6 +67,8 @@ def scale_index(eps: float, zeta: float) -> int:
 
 def _check_radii(radii) -> np.ndarray:
     radii = np.atleast_1d(np.asarray(radii, dtype=float))
+    if radii.size == 0:
+        raise ConfigError("need at least one box half-width")
     if not np.all(np.isfinite(radii) & (radii > 0.0)):
         raise ConfigError("box half-widths must be positive and finite")
     return radii
@@ -505,13 +507,11 @@ def prepare_band_pairs(flow, nodes, eps_ratio: float, truncation: int) -> list:
     nodes = np.asarray(nodes, dtype=float)
     specs = [modal.ModalOperatorSpec(flow=flow, j=j, eps=eps_ratio, truncation=truncation) for j in nodes]
     pairs = []
-    for i, (j, eigs) in enumerate(zip(nodes, modal.leading_eigs_box(specs, count=2))):
-        gap = abs(eigs[0].p - eigs[1].p)
-        if gap <= 1e-8 * max(1.0, abs(eigs[0].p)):
-            raise BandBroken(
-                f"leading eigenvalue not simple at node {i} (j = {j}); gap = {gap:.3e}"
-            )
-        pairs.append(eigs[0])
+    for i, (j, (pair, values)) in enumerate(zip(nodes, modal.leading_eigs_box(specs, count=2))):
+        gap = abs(values[0] - values[1])
+        if not gap > 1e-8 * max(1.0, abs(values[0])):  # a NaN gap fails too
+            raise BandBroken(f"leading eigenvalue not simple at node {i} (j = {j}); gap = {gap:.3e}")
+        pairs.append(pair)
     return pairs
 
 

@@ -120,7 +120,7 @@ def _band_family(args, flow: df.SpectralField) -> bloch.BlochFamily:
         args.half_width,
         eps=args.eps,
         zeta=args.zeta,
-        truncation=args.truncation if args.truncation is not None else 2,
+        truncation=args.truncation if args.truncation is not None else max(2, flow.truncation),
         nodes_per_axis=args.nodes_per_axis,
     )
 
@@ -232,7 +232,7 @@ def _cmd_spectrum_kato(args, outdir: Path) -> dict:
         flow,
         _floats(args.direction, 3),
         _floats(args.jmags),
-        truncation=args.truncation if args.truncation is not None else 2,
+        truncation=args.truncation if args.truncation is not None else max(2, flow.truncation),
         tol=args.tol,
     )
     rows = []

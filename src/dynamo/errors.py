@@ -31,7 +31,7 @@ class UndefinedDirection(ConfigError):
 
 
 class TooLarge(ConfigError):
-    """A dense matrix or box-mass grid was requested beyond its size cap."""
+    """A dense matrix, box-mass grid, sampled volume or stepper run was requested beyond its size cap."""
 
 
 class NumericalError(DynamoError, RuntimeError):

@@ -35,12 +35,14 @@ from scipy.sparse import _sparsetools
 
 from . import fields as df
 from . import modal
-from .errors import BlowUpDetected, ConfigError, SolverFailure
+from .errors import BlowUpDetected, ConfigError, SolverFailure, TooLarge
 from .modal import ModalOperatorSpec
 
 
 # bytes of the block of states that evolve writes and measures at a time
 BLOCK_BYTES = 1 << 19
+# most steps one run may take; every step keeps several floats of trace
+MAX_STEPS = 10_000_000
 
 
 def default_dt(spec: ModalOperatorSpec) -> float:
@@ -180,6 +182,8 @@ def evolve(
     if dt is None:
         dt = default_dt(spec)
     _check_dt(dt)
+    if not t_end / dt <= MAX_STEPS:
+        raise TooLarge(f"t_end / dt = {t_end / dt:.3g} steps exceeds the cap of {MAX_STEPS}")
     steps = max(1, math.ceil(t_end / dt - 1e-12))
     dt = t_end / steps
     stepper = Stepper(spec)

@@ -402,8 +402,9 @@ def plan_catalog(
         period = _period(zeta, n)
         for ell in range(1, ell_max + 1):
             beta = block_budget(ufrak, n, ell)
-            radius = (1.0 + margin) * max(1.0, 2.0 / beta, tail.radius_for(beta / 2.0))
-            if 1.0 / radius + tail.tail_fraction(radius) >= beta:
+            # beta underflows to 0 for separation constants above about 350
+            radius = (1.0 + margin) * max(1.0, 2.0 / beta, tail.radius_for(beta / 2.0)) if beta > 0.0 else math.inf
+            if not (radius < math.inf and 1.0 / radius + tail.tail_fraction(radius) < beta):
                 raise CatalogInfeasible(
                     f"block ({n},{ell}): no radius satisfies the tail budget"
                 )

@@ -337,8 +337,8 @@ def leading_eigs(
     return [_make_pair(res.matrix, spec, vals[i], vec_to_field(vecs[:, i], spec.truncation)) for i in order]
 
 
-def leading_eigs_box(specs, count: int = 2) -> list[list[EigPair]]:
-    """``leading_eigs`` at every operator of one stencil structure, the operators solved in lockstep.
+def leading_eigs_box(specs, count: int = 2) -> list[tuple[EigPair, np.ndarray]]:
+    """(leading ``EigPair``, the ``count`` eigenvalues in ``eig_order``) at every operator of one stencil structure.
 
     ARPACK converges the leading pairs of a band node within its first
     Arnoldi build, and at N = 1 its own bookkeeping costs more than the
@@ -363,14 +363,16 @@ def leading_eigs_box(specs, count: int = 2) -> list[list[EigPair]]:
     sigmas = np.array([_shift(spec, count, None) for spec in specs], dtype=np.complex128)
     dim = specs[0].dim
     length = max(2 * count + 1, 20)
-    if length >= dim:
-        return [leading_eigs(spec, count) for spec in specs]
-    v0 = np.random.default_rng(0).standard_normal(dim) + 0.0j
-    per = max(1, BOX_BYTES // ((length + 1) * dim * 16))
-    out = []
-    for at in range(0, len(specs), per):
-        out += _arnoldi_box(specs[at:at + per], count, sigmas[at:at + per], v0, length)
-    return [pairs if pairs is not None else leading_eigs(spec, count) for spec, pairs in zip(specs, out)]
+    out = [None] * len(specs)
+    if length < dim:
+        v0 = np.random.default_rng(0).standard_normal(dim) + 0.0j
+        per = max(1, BOX_BYTES // ((length + 1) * dim * 16))
+        for at in range(0, len(specs), per):
+            out[at:at + per] = _arnoldi_box(specs[at:at + per], count, sigmas[at:at + per], v0, length)
+    for i in [i for i, node in enumerate(out) if node is None]:
+        pairs = leading_eigs(specs[i], count)
+        out[i] = (pairs[0], np.array([q.p for q in pairs]))
+    return out
 
 
 # a Krylov step that leaves less than this fraction of OP v finds the space
@@ -424,9 +426,9 @@ def _arnoldi_box(specs: list, count: int, sigmas: np.ndarray, v0: np.ndarray, le
     for row, i in enumerate(ok):
         if converged[row]:
             p = sigmas[i] - 1.0 / theta[row]
-            vecs = y[row].T @ basis[i, :length]
-            out[i] = [_make_pair(res.matrices[i], specs[i], p[c], vec_to_field(vecs[c], specs[i].truncation))
-                      for c in eig_order(p)]
+            c = eig_order(p)
+            lead = vec_to_field((y[row].T @ basis[i, :length])[c[0]], specs[i].truncation)
+            out[i] = (_make_pair(res.matrices[i], specs[i], p[c[0]], lead), p[c])
     return out
 
 
@@ -622,7 +624,7 @@ class _Resolvent:
             # ||mu I - L||_1, the largest column sum, which the symmetric permutation only reorders
             norm1 = float(np.add.reduceat(np.abs(data), self._layout.indptr[:-1]).max())
             rcond = 1.0 / (norm1 * _inv_norm1(lu, len(self._layout.perm)))
-            if rcond < 1e-14:
+            if not rcond >= 1e-14:
                 raise ContourTouchesSpectrum(f"resolvent nearly singular at node {mu:.6g} (rcond {rcond:.2e})")
             self._lus[mu] = lu
         return self._lus[mu]
@@ -731,7 +733,7 @@ class RieszProjector:
             if defect <= target_defect or nodes >= MAX_NODES:
                 break
             nodes *= 2
-        if defect > target_defect:
+        if not defect <= target_defect:
             raise SolverFailure(
                 f"projector idempotency stalled at {defect:.2e} with {nodes} nodes"
             )
@@ -793,12 +795,13 @@ def projector_distance_bound(
     sup_resolvent = 0.0
     for mu in contour.points()[0]:
         lu0 = res0.lu(mu)
-        sup_resolvent = max(sup_resolvent, _norm2(lu0.solve, lambda y: lu0.solve(y, trans="H"), dim))
+        # np.maximum, unlike max, keeps a NaN norm
+        sup_resolvent = float(np.maximum(sup_resolvent, _norm2(lu0.solve, lambda y: lu0.solve(y, trans="H"), dim)))
         if delta.nnz:
-            smallness = max(smallness, _norm2(
+            smallness = float(np.maximum(smallness, _norm2(
                 lambda x: delta @ lu0.solve(x), lambda y: lu0.solve(delta_h @ y, trans="H"), dim
-            ))
-    if smallness >= 1.0:
+            )))
+    if not smallness < 1.0:
         raise BoundInapplicable(f"perturbation is not contractive on the contour (M = {smallness:.3f})")
     bound = contour.radius * smallness / (1.0 - smallness) * sup_resolvent
 
@@ -960,7 +963,7 @@ def continue_in_eps(
         hv = field_to_vec(h)
         p_new = complex(np.vdot(hv, res.matrix @ hv) / np.vdot(hv, hv))
         pair = _make_pair(res.matrix, spec, p_new, h)
-        if pair.residual > 1e-7 or p_new.real < floor:
+        if not (pair.residual <= 1e-7 and p_new.real >= floor):  # a NaN pair fails too
             step *= 0.5
             continue
         eps = trial_eps

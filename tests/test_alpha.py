@@ -54,6 +54,11 @@ class TestCellProblem:
             data = df.curl(df.cross(df.const_field(v), u))
             assert abs(sol.residual - fft_residual(spec, sol.field, rhs=data)) <= 1e-15
 
+    def test_nan_residual_raises(self):
+        # the norms of a 1e200 flow's cell data overflow, and the residual reads NaN
+        with pytest.warns(RuntimeWarning, match="overflow"), pytest.raises(SolverFailure, match="nan"):
+            da.solve_cell_problem(df.make_abc(df.AbcParams(1e200, 1e200, 1e200)), [1, 0, 0], truncation=1)
+
     def test_corrector_is_mean_free(self):
         sol = da.solve_cell_problem(small_abc(), [1, 1, 1], truncation=2)
         assert np.linalg.norm(df.mean_vector(sol.field)) < 1e-14

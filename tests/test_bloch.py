@@ -288,6 +288,15 @@ class TestBoxMass:
             with pytest.raises(ConfigError):
                 family.box_mass([1.0, bad])
 
+    def test_no_radius_rejected(self):
+        fam = _small_datum()
+        band = bloch.ConstantBand(np.ones(3), np.array([0.5, 0.4, 0.3]), 0.1)
+        for family in (fam, band):
+            with pytest.raises(ConfigError):
+                family.box_mass([])
+        with pytest.raises(ConfigError):
+            bloch.concentration_radius(band, 0.1, 10.0, num=0)
+
     def test_radii_vectorization(self, rng):
         fam = _small_datum()
         radii = np.array([1.0, 4.0, 16.0])
@@ -513,6 +522,18 @@ class TestBandDatum:
         nodes = np.array([J_STAR, -J_STAR, np.zeros(3), 2 * J_STAR])
         with pytest.raises(BandBroken, match="node 2"):
             bloch.prepare_band_pairs(_abc_flow(), nodes, 1.0, 1)
+
+    def test_nan_gap_breaks_a_box(self, monkeypatch):
+        box = modal.leading_eigs_box
+
+        def nan_at_node_1(specs, count):
+            out = box(specs, count)
+            out[1][1][1] = np.nan
+            return out
+
+        monkeypatch.setattr(modal, "leading_eigs_box", nan_at_node_1)
+        with pytest.raises(BandBroken, match="node 1"):
+            bloch.prepare_band_pairs(_abc_flow(), np.array([J_STAR, 1.1 * J_STAR]), 1.0, 1)
 
     def test_quadrature_consistency_of_rhs(self, rng):
         # Smooth non-polynomial j-dependence: doubling the rule must move

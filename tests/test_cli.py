@@ -93,6 +93,14 @@ class TestAlphaScan:
         assert code == 2
         assert not (out / "scan.csv").exists()
 
+    def test_overflowing_flow_exits_3(self, tmp_path):
+        # the norms of a 1e200 flow's cell data overflow, and the cell residual reads NaN
+        with pytest.warns(RuntimeWarning, match="overflow"):
+            code, out, manifest = run(["alpha", "scan", "--abc", "1e200,1e200,1e200", "--truncation", "1"], tmp_path)
+        assert code == 3
+        assert "SolverFailure" in manifest["error"]
+        assert not (out / "scan.csv").exists()
+
     def test_alpha_matrix_nan_tolerance_exits_2(self, tmp_path):
         code, out, _ = run(["alpha", "matrix", "--abc", "1,1,1", "--delta0", "0.05",
                             "--j", "1,0,0", "--tol", "nan"], tmp_path)
@@ -187,6 +195,30 @@ class TestEvolve:
              "--truncation", "1"] + flags, tmp_path)
         assert code == 2
         assert not (out / "trace.csv").exists()
+
+    @pytest.mark.parametrize("flags", [["--t-end", "1e300"], ["--t-end", "1e300", "--dt", "1e-10"]])
+    def test_step_count_above_the_cap_exits_2(self, tmp_path, flags):
+        code, _, manifest = run(
+            ["evolve", "--abc", "1,1,1", "--delta0", "0.3", "--j", "0,0,0.045",
+             "--truncation", "1"] + flags, tmp_path)
+        assert code == 2
+        assert manifest is None
+
+
+@pytest.mark.parametrize("args", [
+    ["spectrum", "kato", "--jmags", "0.02,0.01"],
+    ["bloch", "parseval", "--j-star", "0,0,0.1", "--half-width", "0.05", "--nodes-per-axis", "1",
+     "--r-max", "40", "--num", "3"],
+    ["bloch", "synth", "--j-star", "0,0,0.1", "--half-width", "0.05", "--nodes-per-axis", "1",
+     "--grid-half", "1", "--grid-spacing", "0.5"],
+])
+def test_default_truncation_covers_the_flow(tmp_path, args):
+    # a flow of support 3: a default truncation of 2 would reject it
+    flow = df.random_real_field(3, np.random.default_rng(5), div_free=True, amplitude=0.3)
+    df.save_field(flow, tmp_path / "flow.field")
+    code, _, manifest = run(args + ["--flow-file", str(tmp_path / "flow.field")], tmp_path)
+    assert code == 0
+    assert manifest["status"] == "ok"
 
 
 class TestBloch:
@@ -289,6 +321,13 @@ class TestGlue:
         assert manifest2["report"]["failures"] == []
         header = (out2 / "checks.csv").read_text().splitlines()[0]
         assert header == "name,kind,measured,bound,margin,passed"
+
+    def test_underflowing_budget_exits_3(self, tmp_path):
+        code, out, manifest = run(
+            ["glue", "build", "--abc", "0.3,0.3,0.3", "--tail-coefficient", "12", "--ufrak", "400"], tmp_path)
+        assert code == 3
+        assert "CatalogInfeasible" in manifest["error"]
+        assert not (out / "catalog.txt").exists()
 
     @pytest.mark.parametrize("valid_from", ["nan", "inf", "0"])
     def test_invalid_tail_valid_from_exits_2(self, tmp_path, valid_from):

@@ -9,7 +9,7 @@ import scipy.linalg as la
 from dynamo import fields as df
 from dynamo import modal
 from dynamo import evolve
-from dynamo.errors import BlowUpDetected, ConfigError, SolverFailure
+from dynamo.errors import BlowUpDetected, ConfigError, SolverFailure, TooLarge
 from support import evolve_per_step, evolve_reference, traced_peak
 
 
@@ -136,6 +136,16 @@ class TestEvolve:
         h0 = df.const_field([1.0, 0.0, 0.0], n=1)
         with pytest.raises(ConfigError):
             evolve.evolve(spec, h0, t_end=t_end, dt=0.1)
+
+    @pytest.mark.parametrize("t_end, dt", [(1e300, None), (1e300, 1e-10), (1.0, 1e-8)])
+    def test_step_count_above_the_cap_rejected(self, monkeypatch, t_end, dt):
+        def refuse(spec):
+            raise AssertionError("the stepper was built for a run over the step cap")
+
+        monkeypatch.setattr(evolve, "Stepper", refuse)
+        spec = _diffusive_spec(n=1)
+        with pytest.raises(TooLarge):
+            evolve.evolve(spec, df.const_field([1.0, 0.0, 0.0], n=1), t_end=t_end, dt=dt)
 
     def test_non_finite_start_detected(self):
         spec = _diffusive_spec(n=1)

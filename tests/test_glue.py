@@ -231,6 +231,12 @@ class TestPlanCatalog:
         assert by_label[(1, 2)] > by_label[(1, 1)]
         assert by_label[(2, 1)] > by_label[(1, 1)]
 
+    @pytest.mark.parametrize("ufrak", [355.0, 400.0])
+    def test_budget_without_a_finite_radius_is_infeasible(self, ufrak):
+        # the budget of block (1, 1) is subnormal at 355, so 2 / beta overflows, and 0.0 at 400
+        with pytest.raises(CatalogInfeasible):
+            glue.plan_catalog(_stream(), glue.TailModel(12.0, 1.0), ufrak=ufrak)
+
     def test_pairwise_separation(self):
         cat = _moderate_catalog()
         for i, a in enumerate(cat.blocks):

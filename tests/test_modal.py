@@ -1,5 +1,7 @@
 """Shifted-operator assembly, eigenpairs, projectors, continuation."""
 
+import dataclasses
+import math
 import sys
 
 import numpy as np
@@ -471,11 +473,17 @@ def record_calls(monkeypatch, owner, name) -> list:
     return calls
 
 
-def assert_same_pairs(got, want):
-    assert [t.p for t in got] == [t.p for t in want]
-    for g, w in zip(got, want):
-        assert np.array_equal(g.field.coeffs, w.field.coeffs)
-        assert g.residual == w.residual
+def as_node(pairs):
+    """``leading_eigs``' pairs as a box node: the leading pair and every eigenvalue."""
+    return pairs[0], np.array([q.p for q in pairs])
+
+
+def assert_same_node(got, want):
+    (g, g_values), (w, w_values) = got, want
+    assert np.array_equal(g_values, w_values)
+    assert g.p == w.p
+    assert np.array_equal(g.field.coeffs, w.field.coeffs)
+    assert g.residual == w.residual
 
 
 class TestLeadingEigsBox:
@@ -490,12 +498,13 @@ class TestLeadingEigsBox:
             got = dm.leading_eigs_box(specs, count=count)
             monkeypatch.undo()
             assert fallbacks == []
-            for g_node, w_node in zip(got, want, strict=True):
-                assert len(g_node) == len(w_node) == count
-                for g, w in zip(g_node, w_node):
-                    assert abs(g.p - w.p) <= 1e-14 * max(1.0, abs(w.p))
-                    assert np.max(np.abs(g.field.coeffs - w.field.coeffs)) <= 1e-12
-                    assert g.residual <= 1e-12
+            for (g, g_values), w_node in zip(got, want, strict=True):
+                assert len(g_values) == len(w_node) == count
+                for g_p, w in zip(g_values, w_node):
+                    assert abs(g_p - w.p) <= 1e-14 * max(1.0, abs(w.p))
+                assert g.p == g_values[0]
+                assert np.max(np.abs(g.field.coeffs - w_node[0].field.coeffs)) <= 1e-12
+                assert g.residual <= 1e-12
 
     def test_invariant_krylov_space_falls_back_to_arpack(self, monkeypatch):
         # without a flow L is diagonal; at j = 0 and N = 1 it has the four
@@ -508,7 +517,7 @@ class TestLeadingEigsBox:
         got = dm.leading_eigs_box(specs)
         assert [args[0] for args in fallbacks] == [specs[1]]
         monkeypatch.undo()
-        assert_same_pairs(got[1], dm.leading_eigs(specs[1], count=2))
+        assert_same_node(got[1], as_node(dm.leading_eigs(specs[1], count=2)))
 
     def test_unconverged_ritz_values_fall_back_to_arpack(self, monkeypatch):
         specs = box_specs(workload_flow(), 1)
@@ -519,8 +528,8 @@ class TestLeadingEigsBox:
         got = dm.leading_eigs_box(specs)
         assert [args[0] for args in fallbacks] == specs
         monkeypatch.undo()
-        for spec, pairs in zip(specs, got, strict=True):
-            assert_same_pairs(pairs, dm.leading_eigs(spec, count=2))
+        for spec, node in zip(specs, got, strict=True):
+            assert_same_node(node, as_node(dm.leading_eigs(spec, count=2)))
 
     def test_singular_block_falls_back_node_by_node(self, monkeypatch):
         # without a flow L is diagonal, -1 at j = 0 but nowhere at j = (0.1, 0, 0)
@@ -538,15 +547,17 @@ class TestLeadingEigsBox:
         monkeypatch.setattr(dm, "BOX_BYTES", 1)  # one node per chunk
         single = dm.leading_eigs_box(specs)
         for a, b, c in zip(first, again, single, strict=True):
-            assert_same_pairs(a, b)
-            assert_same_pairs(a, c)
+            assert_same_node(a, b)
+            assert_same_node(a, c)
 
     def test_band_box_is_one_factorization_and_no_arpack(self, monkeypatch):
         nodes, _ = bloch.gauss_legendre_box(np.array([0.11, 0.0, 0.0]), 0.1, 4)
         factorizations = count_factorizations(monkeypatch)
         fallbacks = record_calls(monkeypatch, dm, "leading_eigs")
+        made = record_calls(monkeypatch, dm, "_make_pair")
         assert len(bloch.prepare_band_pairs(workload_flow(), nodes, 1.0, 1)) == 64
         assert fallbacks == []
+        assert len(made) == 64  # the leading pair only
         assert factorizations == {"lu_factor": 0, "splu": 1, "ordering": 1}
 
     def test_default_box_memory_is_chunked(self):
@@ -634,6 +645,18 @@ class TestRieszProjector:
         # pivot, so only the condition estimate can catch it
         with pytest.raises(ContourTouchesSpectrum):
             dm.RieszProjector(spec, dm.Contour(lam - 0.1 + 1e-15, 0.1, 16))
+
+    def test_nan_condition_estimate_detected(self, monkeypatch):
+        monkeypatch.setattr(dm, "_inv_norm1", lambda lu, dim: math.nan)
+        spec = dm.ModalOperatorSpec(small_abc(0.3), np.zeros(3), 1.0, 1)
+        with pytest.raises(ContourTouchesSpectrum):
+            dm.RieszProjector(spec, dm.Contour(0.0, 0.5, 16))
+
+    def test_nan_idempotency_defect_raises(self, monkeypatch):
+        monkeypatch.setattr(dm, "_contour_sum", lambda res, contour, block, trans="N": np.full_like(block, np.nan))
+        spec = dm.ModalOperatorSpec(small_abc(0.3), np.zeros(3), 1.0, 1)
+        with pytest.raises(SolverFailure):
+            dm.RieszProjector(spec, dm.Contour(0.0, 0.5, 16))
 
     def test_contour_sum_matches_dense_quadrature(self):
         contour = dm.Contour(0.1 + 0.05j, 0.5, 16)
@@ -882,6 +905,16 @@ class TestContinuation:
             assert pair.p.real >= res.floor
             assert pair.residual < 1e-7
 
+    def test_nan_residual_refused(self, monkeypatch):
+        u = small_abc(0.3)
+        j = np.array([0.0, 0.0, 0.045])
+        start = dm.leading_eigs(dm.ModalOperatorSpec(u, j, 1.0, 1), count=1)[0]
+        make_pair = dm._make_pair
+        monkeypatch.setattr(dm, "_make_pair", lambda *args: dataclasses.replace(make_pair(*args), residual=math.nan))
+        res = dm.continue_in_eps(u, j, start, 0.95, 1)
+        assert res.stalled
+        assert res.path == [(1.0, start)]
+
     def test_lipschitz_estimate_stable_under_halving(self):
         u = small_abc(0.3)
         j = np.array([0.0, 0.0, 0.045])
@@ -983,6 +1016,14 @@ class TestProjectorDistance:
         # 8 nodes for each operator: the norms, the distance and the counts
         # share them, and the two operators share one structure's ordering
         assert factorizations == {"lu_factor": 0, "splu": 16, "ordering": 1}
+
+    def test_nan_norm_makes_the_bound_inapplicable(self, monkeypatch):
+        u = small_abc(0.3)
+        j = np.array([0.0, 0.0, 0.045])
+        monkeypatch.setattr(dm, "_norm2", lambda matvec, rmatvec, dim: math.nan)
+        with pytest.raises(BoundInapplicable):
+            dm.projector_distance_bound(dm.ModalOperatorSpec(u, j, 1.0, 1), dm.ModalOperatorSpec(u, j, 0.97, 1),
+                                        dm.Contour(0.0, 0.5, 8))
 
     def test_identical_operators(self):
         spec = dm.ModalOperatorSpec(small_abc(), np.zeros(3), 1.0, 2)
