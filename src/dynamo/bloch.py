@@ -23,7 +23,8 @@ is an integral of (2 sin(Jx)/x)^2, times cos(2 j*_a x) for the cross term of
 the paired band, and both reduce to cosines and sine integrals.
 
 Band data are the leading eigenpair at every node of a box, shown simple
-by its gap to the next eigenvalue.  The nodes share one flow and
+by its gap to the next eigenvalue, and its mirror at -j, the
+``SpectralField.conjugate`` of each field.  The nodes share one flow and
 truncation, so the stencil pattern is built once, and they are solved
 together by ``modal.leading_eigs_box``, which returns each node's leading
 pair and two leading eigenvalues: one sparse LU of the block-diagonal
@@ -34,7 +35,7 @@ ARPACK (``modal.leading_eigs``) for any node that build does not converge.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import sici
@@ -96,10 +97,9 @@ def gauss_legendre_box(center, half_width: float, nodes_per_axis: int = 5):
     return nodes, weights
 
 
-def conjugate_mirror(f: df.SpectralField) -> df.SpectralField:
-    """The field with coefficients conj(c(-k)); realizes G -> conj(G)."""
-    coeffs = np.conj(f.coeffs[::-1, ::-1, ::-1, :])
-    return df.SpectralField(coeffs, kind="complex", scale=f.scale)
+def _mass(weights, fields) -> float:
+    """Coefficient-space mass sum_n w_n ||G_n||^2 over the torus."""
+    return float(np.dot(weights, [np.sum(np.abs(g.coeffs) ** 2) for g in fields])) * TWO_PI_CUBED
 
 
 # ---------------------------------------------------------------------------
@@ -153,7 +153,7 @@ class BlochFamily:
             if dist[k] > 1e-12 or k == i:
                 raise ConfigError(f"node {i} has no mirror partner at -j")
             taken[i] = taken[k] = True
-            mirror = conjugate_mirror(self.fields[i]).coeffs
+            mirror = self.fields[i].conjugate().coeffs
             scale_ref = np.max(np.abs(mirror)) + 1e-300
             if np.max(np.abs(self.fields[k].coeffs - mirror)) > 1e-10 * scale_ref:
                 raise ConfigError(f"fields at nodes {i} and {k} are not conjugate mirrors")
@@ -170,8 +170,7 @@ class BlochFamily:
 
     def total_mass(self) -> float:
         """Coefficient-space (rhs) mass: sum w ||G||^2 over the torus."""
-        sq = np.array([np.sum(np.abs(g.coeffs) ** 2) for g in self.fields])
-        return float(np.dot(self.weights, sq)) * TWO_PI_CUBED
+        return _mass(self.weights, self.fields)
 
     def box_mass(self, radii) -> np.ndarray:
         """Exact integral of |F|^2 over centered cubes of half-width R.
@@ -528,14 +527,11 @@ def build_band_datum(pairs, nodes, weights) -> BlochFamily:
         raise ConfigError("pairs, nodes, and weights must align")
     plus_fields = [p.field for p in pairs]
     exps = np.array([p.p for p in pairs])
-    minus_fields = [conjugate_mirror(g) for g in plus_fields]
     all_nodes = np.concatenate([nodes, -nodes])
     all_weights = np.concatenate([weights, weights])
-    all_fields = plus_fields + minus_fields
+    all_fields = plus_fields + [g.conjugate() for g in plus_fields]
     all_exps = np.concatenate([exps, np.conj(exps)])
-    total = float(
-        np.dot(all_weights, [np.sum(np.abs(g.coeffs) ** 2) for g in all_fields])
-    ) * TWO_PI_CUBED
+    total = _mass(all_weights, all_fields)
     if total <= 0.0:
         raise SolverFailure("band datum has zero mass")
     root = math.sqrt(total)

@@ -425,49 +425,35 @@ def rescale_flow(f: SpectralField, zeta: float, n: int) -> SpectralField:
 # ---------------------------------------------------------------------------
 # pointwise evaluation at arbitrary points
 
-def _flat_modes(f: SpectralField) -> tuple[np.ndarray, np.ndarray]:
-    n = f.truncation
-    kv = wavevectors(n, f.scale).reshape(-1, 3)
-    cf = f.coeffs.reshape(-1, 3)
-    keep = np.any(cf != 0.0, axis=1)
-    return kv[keep], cf[keep]
+def _eval_derivatives(f: SpectralField, points: np.ndarray, order: int) -> np.ndarray:
+    """Derivatives of order 0, 1 or 2 at arbitrary points, shape (P, 3) + (3,) * order: the phases
+    exp(i k.x) of the nonzero modes, formed once, times their factors (ik)^order c(k) in one product."""
+    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    keep = np.any(f.coeffs != 0.0, axis=-1)
+    kv, cf = wavevectors(f.truncation, f.scale)[keep], f.coeffs[keep]
+    if order == 0:
+        factors = cf
+    elif order == 1:
+        factors = 1j * kv[:, None, :] * cf[:, :, None]
+    else:
+        factors = -kv[:, None, :, None] * kv[:, None, None, :] * cf[:, :, None, None]
+    phases = np.exp(1j * (pts @ kv.T))
+    return (phases @ factors.reshape(len(kv), 3 ** (order + 1))).reshape(len(pts), *factors.shape[1:])
 
 
 def eval_at_points(f: SpectralField, points: np.ndarray) -> np.ndarray:
     """Values of f at arbitrary points, shape (P, 3) complex."""
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
-    kv, cf = _flat_modes(f)
-    if kv.shape[0] == 0:
-        return np.zeros((pts.shape[0], 3), dtype=np.complex128)
-    phases = np.exp(1j * (pts @ kv.T))
-    return phases @ cf
+    return _eval_derivatives(f, points, 0)
 
 
 def eval_jacobian_at_points(f: SpectralField, points: np.ndarray) -> np.ndarray:
     """Jacobians J[p, i, l] = d_l f_i at arbitrary points."""
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
-    kv, cf = _flat_modes(f)
-    out = np.zeros((pts.shape[0], 3, 3), dtype=np.complex128)
-    if kv.shape[0] == 0:
-        return out
-    phases = np.exp(1j * (pts @ kv.T))
-    for l in range(3):
-        out[:, :, l] = phases @ (1j * kv[:, l:l + 1] * cf)
-    return out
+    return _eval_derivatives(f, points, 1)
 
 
 def eval_hessian_at_points(f: SpectralField, points: np.ndarray) -> np.ndarray:
     """Second derivatives H[p, i, l, m] = d_l d_m f_i at arbitrary points."""
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
-    kv, cf = _flat_modes(f)
-    out = np.zeros((pts.shape[0], 3, 3, 3), dtype=np.complex128)
-    if kv.shape[0] == 0:
-        return out
-    phases = np.exp(1j * (pts @ kv.T))
-    for l in range(3):
-        for m in range(3):
-            out[:, :, l, m] = phases @ (-kv[:, l:l + 1] * kv[:, m:m + 1] * cf)
-    return out
+    return _eval_derivatives(f, points, 2)
 
 
 # ---------------------------------------------------------------------------

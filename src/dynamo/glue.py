@@ -14,7 +14,7 @@ coordinates where the periodic reduction is exact.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -40,7 +40,6 @@ __all__ = [
     "CatalogReport",
     "check_catalog",
     "smallest_passing_constant",
-    "w2_norm",
     "save_catalog",
     "load_catalog",
 ]
@@ -666,12 +665,8 @@ class CatalogReport:
         return tuple(r for r in self.rows if not r.passed)
 
 
-def w2_norm(f: df.SpectralField, oversample: int = 4) -> float:
-    """sup |f| + sup ||grad f||_2 + sup_i ||Hess f_i||_2 on an oversampled grid."""
-    return float(sum(_w2_components(f, oversample)))
-
-
 def _w2_components(f: df.SpectralField, oversample: int = 4) -> tuple[float, float, float]:
+    """sup |f|, sup ||grad f||_2 and sup_i ||Hess f_i||_2 on an oversampled grid."""
     s0 = df.sup_value(f, oversample)
     s1 = df.sup_grad(f, oversample, ord="2")
     m = df._oversampled_m(f.truncation, oversample)

@@ -50,7 +50,7 @@ import functools
 import itertools
 import math
 import numbers
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -91,7 +91,11 @@ class ModalOperatorSpec:
             raise ConfigError("operator truncation cannot be smaller than the flow's support")
         if self.flow.scale != 1.0:
             raise ConfigError("modal analysis expects a flow on the unit-scale lattice")
-        if np.linalg.norm(df.mean_vector(self.flow)) > 1e-12 * max(1.0, self.flow.l2()):
+        with np.errstate(over="ignore"):
+            size = self.flow.l2()
+        if not math.isfinite(size):
+            raise ConfigError(f"flow coefficients too large: their l2 norm overflows to {size}")
+        if np.linalg.norm(df.mean_vector(self.flow)) > 1e-12 * max(1.0, size):
             raise ConfigError("flow must be mean-free")
         if df.divergence_rel(self.flow) > 1e-10:
             raise ConfigError("flow must be divergence-free")
@@ -674,7 +678,7 @@ def _parity(perm: np.ndarray) -> int:
     return (len(perm) - cycles) % 2
 
 
-def _count(res: _Resolvent, contour: Contour, max_nodes: int = MAX_NODES) -> int:
+def _count(res: _Resolvent, contour: Contour) -> int:
     """Number of eigenvalues of L inside the circle, by the argument principle.
 
     The phase of det(mu I - L) / det(mu I - D), D the diagonal of L, turns
@@ -682,13 +686,13 @@ def _count(res: _Resolvent, contour: Contour, max_nodes: int = MAX_NODES) -> int
     Each node's phase is read once by ``_Resolvent.phase``, which releases
     that node's factor, so count after every solve on the same nodes.  The
     node count doubles, reusing the phases of the nested nodes, until every
-    phase step between neighbours is below pi/2; past ``max_nodes`` the
-    count raises.  Passing that rule, or agreeing across doublings,
-    certifies nothing: an eigenvalue that coincides with a diagonal entry
-    of L near the contour sweeps a net 2 pi over a short arc, which the
-    nodes fold into small steps, so the count can be wrong without raising
-    (78 against a dense 80 for the seed-1 benchmark flow at N = 1 on the
-    circle of radius 3.144984 about 0, from 8 nodes).
+    phase step between neighbours is below pi/2; past MAX_NODES, or at a
+    NaN phase, the count raises.  Passing that rule, or agreeing across
+    doublings, certifies nothing: an eigenvalue that coincides with a
+    diagonal entry of L near the contour sweeps a net 2 pi over a short
+    arc, which the nodes fold into small steps, so the count can be wrong
+    without raising (78 against a dense 80 for the seed-1 benchmark flow at
+    N = 1 on the circle of radius 3.144984 about 0, from 8 nodes).
     """
     d = res.matrix.diagonal()
     nodes = contour.nodes
@@ -696,12 +700,11 @@ def _count(res: _Resolvent, contour: Contour, max_nodes: int = MAX_NODES) -> int
         mus, _ = Contour(contour.center, contour.radius, nodes).points()
         phase = np.array([res.phase(mu) for mu in mus])
         steps = np.angle(np.exp(1j * (np.roll(phase, -1) - phase)))
-        if np.max(np.abs(steps)) < np.pi / 2:
+        largest = np.max(np.abs(steps))
+        if largest < np.pi / 2:
             break
-        if nodes >= max_nodes:
-            raise SolverFailure(
-                f"argument-principle phase steps up to {np.max(np.abs(steps)):.2f} rad with {nodes} nodes"
-            )
+        if nodes >= MAX_NODES or math.isnan(largest):
+            raise SolverFailure(f"argument-principle phase steps up to {largest:.2f} rad with {nodes} nodes")
         nodes *= 2
     inside = int(np.sum(np.abs(d - contour.center) < contour.radius))
     return int(round(np.sum(steps) / (2.0 * np.pi))) + inside
@@ -712,9 +715,9 @@ class RieszProjector:
 
     Construction doubles the quadrature node count, up to MAX_NODES, until
     the idempotency defect measured on eight random unit probes (fixed
-    seed) drops below 1e-8; the achieved defect and the rank, the
-    argument-principle count of the enclosed eigenvalues, are kept as
-    attributes.
+    seed) drops below 1e-8; a NaN defect raises at once.  The achieved
+    defect and the rank, the argument-principle count of the enclosed
+    eigenvalues, are kept as attributes.
     """
 
     def __init__(self, spec: ModalOperatorSpec, contour: Contour):
@@ -730,7 +733,7 @@ class RieszProjector:
             once = _contour_sum(res, trial, block)
             twice = _contour_sum(res, trial, once)
             defect = float(np.max(np.linalg.norm(twice - once, axis=0)))
-            if defect <= target_defect or nodes >= MAX_NODES:
+            if defect <= target_defect or nodes >= MAX_NODES or math.isnan(defect):
                 break
             nodes *= 2
         if not defect <= target_defect:

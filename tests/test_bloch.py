@@ -95,14 +95,14 @@ class TestConjugateMirror:
     def test_real_field_is_fixed_point(self, rng):
         f = df.random_real_field(2, rng=rng)
         np.testing.assert_allclose(
-            bloch.conjugate_mirror(f).coeffs, f.coeffs, rtol=0, atol=1e-15
+            f.conjugate().coeffs, f.coeffs, rtol=0, atol=1e-15
         )
 
     def test_pointwise_conjugation(self, rng):
         f = df.random_complex_field(1, rng=rng)
         pts = rng.uniform(-np.pi, np.pi, size=(6, 3))
         np.testing.assert_allclose(
-            df.eval_at_points(bloch.conjugate_mirror(f), pts),
+            df.eval_at_points(f.conjugate(), pts),
             np.conj(df.eval_at_points(f, pts)),
             rtol=0, atol=1e-12,
         )
@@ -141,7 +141,7 @@ class TestBlochFamily:
         nodes = np.array([[0.1, 0.0, 0.0], [0.2, 0.0, 0.0]])
         with pytest.raises(ConfigError):
             bloch.BlochFamily(
-                nodes, np.ones(2), [g, bloch.conjugate_mirror(g)],
+                nodes, np.ones(2), [g, g.conjugate()],
                 conjugate_paired=True,
             )
 

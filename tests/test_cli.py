@@ -93,12 +93,12 @@ class TestAlphaScan:
         assert code == 2
         assert not (out / "scan.csv").exists()
 
-    def test_overflowing_flow_exits_3(self, tmp_path):
-        # the norms of a 1e200 flow's cell data overflow, and the cell residual reads NaN
-        with pytest.warns(RuntimeWarning, match="overflow"):
-            code, out, manifest = run(["alpha", "scan", "--abc", "1e200,1e200,1e200", "--truncation", "1"], tmp_path)
-        assert code == 3
-        assert "SolverFailure" in manifest["error"]
+    def test_overflowing_flow_exits_2(self, tmp_path, capsys):
+        # a 1e200 flow's l2 norm overflows: an input error, refused before any solve and without a warning
+        code, out, manifest = run(["alpha", "scan", "--abc", "1e200,1e200,1e200", "--truncation", "1"], tmp_path)
+        assert code == 2
+        assert manifest is None
+        assert "error: flow coefficients too large" in capsys.readouterr().err
         assert not (out / "scan.csv").exists()
 
     def test_alpha_matrix_nan_tolerance_exits_2(self, tmp_path):

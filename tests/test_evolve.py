@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 import scipy.linalg as la
+import scipy.sparse as sp
 
 from dynamo import fields as df
 from dynamo import modal
@@ -48,6 +49,25 @@ class TestStepper:
                 adv_ref = full + spec.eps * k2 * h.coeffs
                 adv = evolve.Stepper(spec)._adv @ h.coeffs.reshape(-1)
                 np.testing.assert_allclose(adv, adv_ref.reshape(-1), rtol=0, atol=1e-14)
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_split_is_the_stencil(self, n):
+        for j in ((0.0, 0.0, 0.0), (0.1, -0.05, 0.2)):
+            spec = modal.ModalOperatorSpec(df.make_abc(df.AbcParams(1.0, 0.9, 1.1)), np.array(j), 0.7, n)
+            st = evolve.Stepper(spec)
+            whole = st._adv + sp.diags_array(st._diag)
+            assert np.array_equal(whole.toarray(), modal._operator(spec).toarray())
+
+    def test_split_keeps_a_tiny_mean_flow_block(self):
+        # a mean-free flow may keep a roundoff U(0); its block puts imaginary
+        # entries on the diagonal, which belong to the advection
+        c = np.array(df.random_real_field(1, np.random.default_rng(3), div_free=True).coeffs)
+        c[1, 1, 1] = [1e-14, -2e-14, 5e-15]
+        spec = modal.ModalOperatorSpec(df.SpectralField(c), np.array([0.1, -0.05, 0.2]), 0.7, 2)
+        st = evolve.Stepper(spec)
+        assert np.any(st._adv.diagonal().imag)
+        whole = st._adv + sp.diags_array(st._diag)
+        assert np.array_equal(whole.toarray(), modal._operator(spec).toarray())
 
     def test_step_is_linear(self, rng):
         spec = _abc_spec()

@@ -257,6 +257,44 @@ class TestEvaluation:
         hess = df.eval_hessian_at_points(f, pt)[0]
         assert_allclose(hess, np.swapaxes(hess, 1, 2), atol=1e-14)
 
+    @staticmethod
+    def per_derivative_sums(f, pts):
+        """Values, Jacobians and Hessians as one product of the phases per derivative (the reference)."""
+        kv = df.wavevectors(f.truncation, f.scale).reshape(-1, 3)
+        cf = f.coeffs.reshape(-1, 3)
+        keep = np.any(cf != 0.0, axis=1)
+        kv, cf = kv[keep], cf[keep]
+        phases = np.exp(1j * (pts @ kv.T))
+        jac = np.zeros((len(pts), 3, 3), dtype=np.complex128)
+        hess = np.zeros((len(pts), 3, 3, 3), dtype=np.complex128)
+        for l in range(3):
+            jac[:, :, l] = phases @ (1j * kv[:, l:l + 1] * cf)
+            for m in range(3):
+                hess[:, :, l, m] = phases @ (-kv[:, l:l + 1] * kv[:, m:m + 1] * cf)
+        return phases @ cf, jac, hess
+
+    @pytest.mark.parametrize("which", ["abc", "random"])
+    def test_evaluators_match_per_derivative_sums(self, rng, which):
+        if which == "abc":
+            f = abc(1.0, 0.9, 1.1)
+        else:
+            f = df.random_real_field(2, rng, scale=0.8)
+            assert np.count_nonzero(np.any(f.coeffs != 0.0, axis=-1)) == 124
+        pts = rng.uniform(-10.0, 10.0, size=(40, 3))
+        got = (df.eval_at_points(f, pts), df.eval_jacobian_at_points(f, pts), df.eval_hessian_at_points(f, pts))
+        for out, ref in zip(got, self.per_derivative_sums(f, pts)):
+            assert out.shape == ref.shape
+            assert np.max(np.abs(out - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+    def test_zero_field_evaluates_to_zeros(self):
+        pts = np.array([[0.1, 0.2, 0.3], [1.0, -2.0, 4.0]])
+        f = df.zero_field(2)
+        for fn, shape in ((df.eval_at_points, (2, 3)), (df.eval_jacobian_at_points, (2, 3, 3)),
+                          (df.eval_hessian_at_points, (2, 3, 3, 3))):
+            out = fn(f, pts)
+            assert out.shape == shape and out.dtype == np.complex128
+            assert not np.any(out)
+
 
 class TestSnapshot:
     def test_bit_exact_roundtrip(self, tmp_path, rng):

@@ -125,6 +125,15 @@ class TestSpecValidation:
         with pytest.raises(ConfigError, match="shift"):
             dm.ModalOperatorSpec(small_abc(), j, 1.0, 1)
 
+    def test_overflowing_flow_rejected_before_the_relative_checks(self, rng):
+        # a mean-free flow that is not divergence-free; scaled until its norm
+        # overflows, the relative checks would divide by inf and pass it
+        flow = df.random_real_field(1, rng)
+        with pytest.raises(ConfigError, match="divergence-free"):
+            dm.ModalOperatorSpec(flow, np.zeros(3), 1.0, 1)
+        with pytest.raises(ConfigError, match="too large"):
+            dm.ModalOperatorSpec(1e200 * flow, np.zeros(3), 1.0, 1)
+
 
 class TestDenseAssembly:
     def test_zero_flow_diagonal(self):
@@ -653,10 +662,18 @@ class TestRieszProjector:
             dm.RieszProjector(spec, dm.Contour(0.0, 0.5, 16))
 
     def test_nan_idempotency_defect_raises(self, monkeypatch):
-        monkeypatch.setattr(dm, "_contour_sum", lambda res, contour, block, trans="N": np.full_like(block, np.nan))
+        sums = []
+
+        def contour_sum(res, contour, block, trans="N"):
+            sums.append(contour.nodes)
+            return np.full_like(block, np.nan)
+
+        monkeypatch.setattr(dm, "_contour_sum", contour_sum)
         spec = dm.ModalOperatorSpec(small_abc(0.3), np.zeros(3), 1.0, 1)
         with pytest.raises(SolverFailure):
             dm.RieszProjector(spec, dm.Contour(0.0, 0.5, 16))
+        # the NaN stops the doubling at the first node count: once and twice
+        assert sums == [16, 16]
 
     def test_contour_sum_matches_dense_quadrature(self):
         contour = dm.Contour(0.1 + 0.05j, 0.5, 16)
@@ -737,13 +754,29 @@ class TestCount:
         assert np.sum(np.abs(lam - center) < radius) == want
         assert dm._count(dm._Resolvent(spec), dm.Contour(center, radius, 8)) == want
 
-    def test_unresolved_phase_raises(self):
+    def test_unresolved_phase_raises(self, monkeypatch):
         # the (-1, 0.3) circle needs 16 nodes; capped at 8 the count refuses
         spec = dm.ModalOperatorSpec(small_abc(0.3), np.array([0.0, 0.0, 0.045]), 1.0, 2)
         res = dm._Resolvent(spec)
+        monkeypatch.setattr(dm, "MAX_NODES", 8)
         with pytest.raises(SolverFailure):
-            dm._count(res, dm.Contour(-1.0, 0.3, 8), max_nodes=8)
-        assert dm._count(res, dm.Contour(-1.0, 0.3, 8), max_nodes=16) == 17
+            dm._count(res, dm.Contour(-1.0, 0.3, 8))
+        monkeypatch.setattr(dm, "MAX_NODES", 16)
+        assert dm._count(res, dm.Contour(-1.0, 0.3, 8)) == 17
+
+    def test_nan_phase_raises_at_once(self, monkeypatch):
+        reads = []
+
+        def phase(self, mu):
+            reads.append(mu)
+            return math.nan
+
+        monkeypatch.setattr(dm._Resolvent, "phase", phase)
+        spec = dm.ModalOperatorSpec(small_abc(0.3), np.array([0.0, 0.0, 0.045]), 1.0, 1)
+        contour = dm.Contour(-1.0, 0.3, 8)
+        with pytest.raises(SolverFailure, match="nan"):
+            dm._count(dm._Resolvent(spec), contour)
+        assert len(reads) == contour.nodes
 
     def test_contour_next_to_an_eigenvalue_raises(self):
         spec = dm.ModalOperatorSpec(small_abc(0.3), np.array([0.0, 0.0, 0.045]), 1.0, 1)
