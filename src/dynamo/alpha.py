@@ -83,6 +83,17 @@ def solve_cell_problem(
     return _solve_cells(flow, [v], tol, truncation)[0]
 
 
+def _norm(v: np.ndarray) -> float:
+    """2-norm that is finite for a finite v: numpy's, taken again on v / max|v| only where it overflows."""
+    with np.errstate(over="ignore"):
+        norm = float(np.linalg.norm(v))
+        if math.isinf(norm):
+            top = float(np.max(np.abs(v)))
+            if math.isfinite(top):
+                norm = top * float(np.linalg.norm(v / top))
+    return norm
+
+
 def _solve_cells(flow: df.SpectralField, vs, tol: float, truncation: int | None) -> list:
     """Cell solutions for several constant vectors from one factorization.
 
@@ -106,7 +117,7 @@ def _solve_cells(flow: df.SpectralField, vs, tol: float, truncation: int | None)
     sols = [CellSolution(v, df.zero_field(n, kind=kind), 0.0) for v, kind in zip(vs, kinds)]
     # contiguous copies keep each column's norms the ones a single-vector solve reports
     cols = [rhs[:, i].copy() for i in range(len(vs))]
-    dnorms = [float(np.linalg.norm(b)) for b in cols]
+    dnorms = [_norm(b) for b in cols]
     live = [i for i, dn in enumerate(dnorms) if dn != 0.0]
     if not live:
         return sols
@@ -120,7 +131,7 @@ def _solve_cells(flow: df.SpectralField, vs, tol: float, truncation: int | None)
         raise SolverFailure(f"singular Galerkin cell system at truncation {n}") from exc
     for col, i in enumerate(live):
         x = sol[:, col].copy()
-        res = float(np.linalg.norm(a @ x - cols[i])) / dnorms[i]
+        res = _norm(a @ x - cols[i]) / dnorms[i]
         if not res <= max(10.0 * tol, 1e-11):  # a NaN residual fails too
             raise SolverFailure(f"direct cell solve residual {res:.2e} exceeds tolerance")
         sols[i] = CellSolution(vs[i], modal.vec_to_field(x, n, kind=kinds[i]), res)
@@ -354,8 +365,7 @@ def instability_scan(
 
 def recommended_amplitude(flow: df.SpectralField) -> float:
     """Scaling that keeps the corrector series comfortably contractive: 0.05 over the flow's size."""
-    n = df.norms(flow)
-    size = max(n.l2, n.sup_grad_estimate * df.GRAD_SAFETY)
+    size = max(flow.l2(), df.sup_grad(flow) * df.GRAD_SAFETY)
     if size == 0.0:
         raise ConfigError("cannot scale the zero flow")
     return 0.05 / size

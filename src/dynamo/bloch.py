@@ -66,6 +66,11 @@ def scale_index(eps: float, zeta: float) -> int:
     return int(math.floor(math.log(eps) / math.log(zeta) + 1e-9))
 
 
+def _ladder_ratio(eps: float, zeta: float) -> float:
+    """The rescaled diffusivity eps / zeta^n in (zeta, 1], n the ladder step of eps."""
+    return eps / zeta ** scale_index(eps, zeta)
+
+
 def _check_radii(radii) -> np.ndarray:
     radii = np.atleast_1d(np.asarray(radii, dtype=float))
     if radii.size == 0:
@@ -477,12 +482,11 @@ def concentration_radius(
     delta: float,
     r_max: float,
     num: int = 48,
-    r_min: float | None = None,
 ) -> float:
-    """Smallest sampled R whose box holds mass >= (1 - delta) of the total."""
+    """Smallest sampled R in [r_max / 64, r_max] whose box holds mass >= (1 - delta) of the total."""
     if not 0.0 < delta < 1.0:
         raise ConfigError(f"delta must lie in (0, 1), got {delta}")
-    radii = np.geomspace(r_min if r_min is not None else r_max / 64.0, r_max, num)
+    radii = np.geomspace(r_max / 64.0, r_max, num)
     frac = family.box_mass(radii) / family.total_mass()
     hit = np.nonzero(frac >= 1.0 - delta)[0]
     if len(hit) == 0:
@@ -558,10 +562,8 @@ def band_datum(
 ) -> BlochFamily:
     """One-call band datum: quadrature box, eigensolves at the rescaled
     diffusivity eps/zeta^n, mirroring, and normalization."""
-    n_eps = scale_index(eps, zeta)
-    ratio = eps / zeta**n_eps
     nodes, weights = gauss_legendre_box(j_star, half_width, nodes_per_axis)
-    pairs = prepare_band_pairs(flow, nodes, ratio, truncation)
+    pairs = prepare_band_pairs(flow, nodes, _ladder_ratio(eps, zeta), truncation)
     return build_band_datum(pairs, nodes, weights)
 
 
@@ -579,9 +581,7 @@ def widest_stable_band(
     at least half the one at the band center.
     """
     j_star = np.asarray(j_star, dtype=float)
-    n_eps = scale_index(eps, zeta)
-    ratio = eps / zeta**n_eps
-    center_spec = modal.ModalOperatorSpec(flow=flow, j=j_star, eps=ratio, truncation=truncation)
+    center_spec = modal.ModalOperatorSpec(flow=flow, j=j_star, eps=_ladder_ratio(eps, zeta), truncation=truncation)
     center_p = modal.leading_eigs(center_spec, count=1)[0].p
     half = 0.8 * float(np.linalg.norm(j_star))
     for _ in range(8):
@@ -631,8 +631,7 @@ def concentration_sweep(
     cache: dict[float, float] = {}  # rescaled ratio -> concentration radius
     radii = []
     for eps in eps_values:
-        ratio = eps / zeta ** scale_index(eps, zeta)
-        key = round(ratio, 12)
+        key = round(_ladder_ratio(eps, zeta), 12)
         if key not in cache:
             family = band_datum(
                 flow, j_star, half_width, eps=eps, zeta=zeta,

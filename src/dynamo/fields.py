@@ -11,8 +11,10 @@ so a field with ``scale = s`` is (2 pi s)-periodic along each axis.  The
 
 Everything downstream (cell solves, modal operators, time stepping, band
 synthesis, gluing) is built from the primitives in this module: curl,
-exact dealiased cross products, inverse Laplacian, means, norms, pointwise
-evaluation, and the snapshot file format.
+exact dealiased cross products, inverse Laplacian, means, the Hermitian
+mirror c(k) -> conj c(-k) of ``SpectralField.conjugate`` (its one spelling,
+which ``is_hermitian`` and ``hermitize`` use), the norms ``l2``, ``sup_value``
+and ``sup_grad``, pointwise evaluation, and the snapshot file format.
 """
 
 from __future__ import annotations
@@ -216,13 +218,13 @@ def mean_vector(f: SpectralField) -> np.ndarray:
 def is_hermitian(f: SpectralField, tol: float = 1e-12) -> bool:
     """Whether coefficients satisfy the real-field symmetry c(-k) = conj c(k)."""
     c = f.coeffs
-    defect = np.max(np.abs(c - np.conj(c[::-1, ::-1, ::-1])))
+    defect = np.max(np.abs(c - f.conjugate().coeffs))
     return bool(defect <= tol * max(1.0, np.max(np.abs(c))))
 
 
 def hermitize(f: SpectralField) -> SpectralField:
     """Project onto the real-field symmetry class and tag kind='real'."""
-    c = 0.5 * (f.coeffs + np.conj(f.coeffs[::-1, ::-1, ::-1]))
+    c = 0.5 * (f.coeffs + f.conjugate().coeffs)
     return SpectralField(c, kind="real", scale=f.scale)
 
 
@@ -251,17 +253,12 @@ def inv_laplacian(f: SpectralField) -> SpectralField:
     return SpectralField(c, kind=f.kind, scale=f.scale)
 
 
-def divergence_coeffs(f: SpectralField, shift=None) -> np.ndarray:
-    """Scalar coefficients of (div + i shift .) f, shape (2N+1,)*3."""
+def divergence_rel(f: SpectralField, shift=None) -> float:
+    """Max modal magnitude of (div + i shift .) f relative to the field's l2 norm."""
     kv = wavevectors(f.truncation, f.scale)
     if shift is not None:
         kv = kv + np.asarray(shift, dtype=float)
-    return np.sum(1j * kv * f.coeffs, axis=-1)
-
-
-def divergence_rel(f: SpectralField, shift=None) -> float:
-    """Max modal divergence magnitude relative to the field's l2 norm."""
-    d = np.max(np.abs(divergence_coeffs(f, shift)))
+    d = np.max(np.abs(np.sum(1j * kv * f.coeffs, axis=-1)))
     return float(d / max(f.l2(), 1e-300))
 
 
@@ -353,22 +350,9 @@ def _cross_matrix(w: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # norms
 
-@dataclass(frozen=True)
-class FieldNorms:
-    l2: float
-    sup_grad_estimate: float
-
-
 def _oversampled_m(n: int, oversample: int) -> int:
     m = max(oversample * (2 * n + 1), 8)
     return m + (-m) % 4  # multiples of 4 put the quarter-period extrema on grid
-
-
-def jacobian_grid(f: SpectralField, m: int) -> np.ndarray:
-    """Pointwise Jacobian J[..., i, l] = d_l f_i on the m^3 grid."""
-    kv = wavevectors(f.truncation, f.scale)
-    cols = [_to_grid(1j * kv[..., l:l + 1] * f.coeffs, m) for l in range(3)]
-    return np.stack(cols, axis=-1)
 
 
 def sup_grad(f: SpectralField, oversample: int = 4, ord: str = "inf") -> float:
@@ -379,7 +363,9 @@ def sup_grad(f: SpectralField, oversample: int = 4, ord: str = "inf") -> float:
     right constant for quadratic-form energy estimates.
     """
     m = _oversampled_m(f.truncation, oversample)
-    jac = jacobian_grid(f, m)
+    kv = wavevectors(f.truncation, f.scale)
+    # pointwise Jacobian J[..., i, l] = d_l f_i on the m^3 grid
+    jac = np.stack([_to_grid(1j * kv[..., l:l + 1] * f.coeffs, m) for l in range(3)], axis=-1)
     if ord == "inf":
         pointwise = np.max(np.sum(np.abs(jac), axis=-1), axis=-1)
     elif ord == "2":
@@ -396,16 +382,6 @@ def sup_value(f: SpectralField, oversample: int = 4) -> float:
     if f.kind == "real":
         vals = vals.real
     return float(np.max(np.linalg.norm(vals, axis=-1)))
-
-
-def norms(f: SpectralField, oversample: int = 4) -> FieldNorms:
-    """Parseval l2 plus an oversampled-grid estimate of sup |grad f|.
-
-    The gradient figure is a grid maximum, hence a lower bound on the true
-    sup; callers that feed it into smallness thresholds should multiply by
-    GRAD_SAFETY.
-    """
-    return FieldNorms(l2=f.l2(), sup_grad_estimate=sup_grad(f, oversample))
 
 
 def rescale_flow(f: SpectralField, zeta: float, n: int) -> SpectralField:

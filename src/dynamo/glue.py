@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -174,9 +175,6 @@ class CutoffSpec:
             phi[ramp], d1[ramp], d2[ramp] = self._ramp(s)
         return phi, d1, d2
 
-    def profile(self, r) -> np.ndarray:
-        return self.profile_derivatives(r)[0]
-
     def derivatives(self, points: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(phi, grad phi, D^2 phi) at the points, from one radial evaluation.
 
@@ -192,15 +190,6 @@ class CutoffSpec:
         outer = unit[:, :, None] * unit[:, None, :]
         eye = np.eye(3)[None, :, :]
         return phi, d1[:, None] * unit, (d2 - tang)[:, None, None] * outer + tang[:, None, None] * eye
-
-    def value(self, points: np.ndarray) -> np.ndarray:
-        return self.derivatives(points)[0]
-
-    def gradient(self, points: np.ndarray) -> np.ndarray:
-        return self.derivatives(points)[1]
-
-    def hessian(self, points: np.ndarray) -> np.ndarray:
-        return self.derivatives(points)[2]
 
     def derivative_budget_measured(self) -> float:
         """sup over the ramp of |grad phi| + ||D^2 phi||_2 (4001 radial samples).
@@ -817,8 +806,6 @@ _CAT_MAGIC = "block-catalog 1"
 
 def save_catalog(catalog: BlockCatalog, path) -> None:
     """Self-describing text snapshot; the stream goes to ``<path>.stream``."""
-    from pathlib import Path
-
     path = Path(path)
     stream_name = path.name + ".stream"
     df.save_field(catalog.stream, path.with_name(stream_name))
@@ -841,8 +828,6 @@ def save_catalog(catalog: BlockCatalog, path) -> None:
 
 def load_catalog(path) -> BlockCatalog:
     """Read a catalog snapshot; an unreadable or malformed file raises ConfigError."""
-    from pathlib import Path
-
     path = Path(path)
     try:
         lines = path.read_text(encoding="ascii").splitlines()
@@ -851,7 +836,7 @@ def load_catalog(path) -> BlockCatalog:
     if not lines or lines[0] != _CAT_MAGIC:
         raise ConfigError(f"{path} is not a block-catalog snapshot")
     header: dict[str, str] = {}
-    for i, line in enumerate(lines[1:7], start=1):
+    for line in lines[1:7]:
         key, _, rest = line.partition(" ")
         header[key] = rest
     try:

@@ -783,6 +783,18 @@ def _norm2(matvec, rmatvec, dim: int) -> float:
     return float(spla.svds(op, k=1, v0=v0, tol=1e-7, return_singular_vectors=False)[0])
 
 
+def _node_norms(res: _Resolvent, contour: Contour, weight=None) -> np.ndarray:
+    """||W R(mu)||_2 at every contour node mu, R(mu) = (mu I - L)^-1 from the gated factors; W = I by default."""
+    if weight is None:
+        w = w_h = lambda x: x
+    else:
+        weight_h = weight.conj().T
+        w, w_h = (lambda x: weight @ x), (lambda y: weight_h @ y)
+    dim = res.matrix.shape[0]
+    return np.array([_norm2(lambda x: w(lu.solve(x)), lambda y: lu.solve(w_h(y), trans="H"), dim)
+                     for lu in map(res.lu, contour.points()[0])])
+
+
 def projector_distance_bound(
     spec0: ModalOperatorSpec,
     spec1: ModalOperatorSpec,
@@ -792,18 +804,10 @@ def projector_distance_bound(
         raise ConfigError("operators must share one truncation for comparison")
     res0, res1 = _Resolvent(spec0), _Resolvent(spec1)
     delta = res1.matrix - res0.matrix
-    delta_h = delta.conj().T
     dim = spec0.dim
-    smallness = 0.0
-    sup_resolvent = 0.0
-    for mu in contour.points()[0]:
-        lu0 = res0.lu(mu)
-        # np.maximum, unlike max, keeps a NaN norm
-        sup_resolvent = float(np.maximum(sup_resolvent, _norm2(lu0.solve, lambda y: lu0.solve(y, trans="H"), dim)))
-        if delta.nnz:
-            smallness = float(np.maximum(smallness, _norm2(
-                lambda x: delta @ lu0.solve(x), lambda y: lu0.solve(delta_h @ y, trans="H"), dim
-            )))
+    # np.max, unlike max, keeps a NaN norm
+    sup_resolvent = float(np.max(_node_norms(res0, contour)))
+    smallness = float(np.max(_node_norms(res0, contour, delta))) if delta.nnz else 0.0
     if not smallness < 1.0:
         raise BoundInapplicable(f"perturbation is not contractive on the contour (M = {smallness:.3f})")
     bound = contour.radius * smallness / (1.0 - smallness) * sup_resolvent

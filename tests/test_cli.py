@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -99,6 +100,20 @@ class TestAlphaScan:
         assert code == 2
         assert manifest is None
         assert "error: flow coefficients too large" in capsys.readouterr().err
+        assert not (out / "scan.csv").exists()
+
+    @pytest.mark.parametrize("amplitude", ["1e100", "1e150"])
+    def test_huge_finite_flow_fails_the_cell_gate_without_a_warning(self, tmp_path, capsys, amplitude):
+        # the flow passes the size check, so the cell solve runs; its residual norms stay finite
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, manifest = run(["alpha", "scan", "--abc", ",".join([amplitude] * 3), "--truncation", "1"],
+                                      tmp_path)
+        assert code == 3
+        assert manifest["status"] == "numerical-failure"
+        assert "cell solve residual" in manifest["error"]
+        assert [str(w.message) for w in caught] == []
+        assert "Warning" not in capsys.readouterr().err
         assert not (out / "scan.csv").exists()
 
     def test_alpha_matrix_nan_tolerance_exits_2(self, tmp_path):

@@ -72,9 +72,8 @@ class TestMakeAbc:
 class TestNorms:
     def test_abc_gradient_sup(self):
         u = abc(1.0, 1.0, 1.0)
-        rec = df.norms(u)
-        assert_allclose(rec.sup_grad_estimate, 2.0, rtol=1e-12)
-        assert_allclose(rec.l2, np.sqrt(3.0), rtol=1e-13)
+        assert_allclose(df.sup_grad(u), 2.0, rtol=1e-12)
+        assert_allclose(u.l2(), np.sqrt(3.0), rtol=1e-13)
 
     def test_abc_gradient_sup_asymmetric(self):
         u = abc(1.0, 2.0, 3.0)
@@ -353,6 +352,19 @@ class TestAlgebra:
         f = df.random_complex_field(1, rng)
         g = f.conjugate()
         assert_allclose(g.coeff((0, 1, 0)), np.conj(f.coeff((0, -1, 0))))
+
+    @pytest.mark.parametrize("kind", ["real", "complex"])
+    def test_hermitize_averages_with_the_mirror(self, rng, kind):
+        make = df.random_real_field if kind == "real" else df.random_complex_field
+        f = make(2, rng, scale=0.8)
+        assert df.is_hermitian(f) == (kind == "real")
+        h = df.hermitize(f)
+        assert h.kind == "real" and h.scale == 0.8
+        assert np.array_equal(h.coeffs, 0.5 * (f.coeffs + f.conjugate().coeffs))
+        assert df.is_hermitian(h)
+        c = np.array(h.coeffs)
+        c[3, 1, 2, 0] += 1e-6
+        assert not df.is_hermitian(df.SpectralField(c, scale=0.8))
 
     def test_immutability(self):
         u = abc()

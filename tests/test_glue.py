@@ -106,7 +106,7 @@ class TestCutoff:
     def test_plateau_ramp_and_support(self):
         cut = glue.CutoffSpec(np.zeros(3), 2.0, 6.0)
         r = np.array([0.0, 1.0, 2.0, 4.0, 6.0, 9.0])
-        phi = cut.profile(r)
+        phi = cut.profile_derivatives(r)[0]
         assert np.array_equal(phi[:3], [1.0, 1.0, 1.0])
         assert phi[3] == pytest.approx(0.5)  # quintic ramp midpoint
         assert np.array_equal(phi[4:], [0.0, 0.0])
@@ -128,7 +128,7 @@ class TestCutoff:
     def test_range_and_monotonicity(self, plateau, width, frac):
         cut = glue.CutoffSpec(np.zeros(3), plateau, plateau + width)
         r = frac * (plateau + width)
-        phi = cut.profile(np.array([r, r + 1e-3 * width]))
+        phi = cut.profile_derivatives(np.array([r, r + 1e-3 * width]))[0]
         assert 0.0 <= phi[0] <= 1.0
         assert phi[1] <= phi[0] + 1e-15
 
@@ -146,22 +146,20 @@ class TestCutoff:
         tang = np.divide(d1, r, out=np.zeros_like(d1), where=r > 0)
         hess = (d2 - tang)[:, None, None] * (u[:, :, None] * u[:, None, :]) + tang[:, None, None] * np.eye(3)[None]
         got = cut.derivatives(pts)
-        for g, want, single in zip(got, (phi, d1[:, None] * u, hess), (cut.value, cut.gradient, cut.hessian)):
+        for g, want in zip(got, (phi, d1[:, None] * u, hess)):
             assert np.array_equal(g, want)
-            assert np.array_equal(single(pts), want)
 
     def test_gradient_and_hessian_against_differences(self, rng):
         cut = glue.CutoffSpec(np.array([0.3, -0.2, 0.1]), 1.5, 4.0)
         pts = cut.center + rng.uniform(-3.5, 3.5, size=(40, 3))
-        grad = cut.gradient(pts)
-        hess = cut.hessian(pts)
+        _, grad, hess = cut.derivatives(pts)
         h = 1e-5
         for m in range(3):
             step = np.zeros(3)
             step[m] = h
-            dnum = (cut.value(pts + step) - cut.value(pts - step)) / (2 * h)
+            dnum = (cut.derivatives(pts + step)[0] - cut.derivatives(pts - step)[0]) / (2 * h)
             assert np.max(np.abs(grad[:, m] - dnum)) < 1e-8
-            gnum = (cut.gradient(pts + step) - cut.gradient(pts - step)) / (2 * h)
+            gnum = (cut.derivatives(pts + step)[1] - cut.derivatives(pts - step)[1]) / (2 * h)
             assert np.max(np.abs(hess[:, :, m] - gnum)) < 1e-7
 
     def test_measured_budget_brackets(self):

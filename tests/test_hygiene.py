@@ -41,3 +41,21 @@ def test_no_unused_import(path):
     read = read_names(tree)
     unused = [f"{path.name}:{line} {name}" for name, line in imported_names(tree).items() if name not in read]
     assert not unused, f"imported but never read: {', '.join(unused)}"
+
+
+def misplaced_imports(tree: ast.Module) -> list[ast.stmt]:
+    """Imports below module level, except a function's ``from . import sibling``, which breaks an import cycle."""
+    top = {id(node) for node in tree.body}
+    in_function = {id(node) for fn in ast.walk(tree) if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+                   for node in ast.walk(fn)}
+    return [node for node in ast.walk(tree)
+            if isinstance(node, (ast.Import, ast.ImportFrom)) and id(node) not in top
+            and not (id(node) in in_function and isinstance(node, ast.ImportFrom)
+                     and node.level == 1 and node.module is None)]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.stem)
+def test_imports_at_module_level(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    found = [f"{path.name}:{node.lineno} {ast.unparse(node)}" for node in misplaced_imports(tree)]
+    assert not found, f"import below module level: {', '.join(found)}"
