@@ -131,6 +131,18 @@ def leading_eigs_oracle(spec: dm.ModalOperatorSpec, count: int = 6, sigma: compl
             for i in dm.eig_order(vals)]
 
 
+def node_norms_oracle(res: dm._Resolvent, contour: dm.Contour, weight=None) -> np.ndarray:
+    """``modal._node_norms`` with no screen: the exact ||W R(mu)||_2 by ``modal._norm2`` at every node."""
+    if weight is None:
+        w = w_h = lambda x: x
+    else:
+        weight_h = weight.conj().T
+        w, w_h = (lambda x: weight @ x), (lambda y: weight_h @ y)
+    dim = res.matrix.shape[0]
+    return np.array([dm._norm2(lambda x: w(lu.solve(x)), lambda y: lu.solve(w_h(y), trans="H"), dim)
+                     for lu in map(res.lu, contour.points()[0])])
+
+
 def fft_residual(spec: dm.ModalOperatorSpec, h: df.SpectralField, p: complex = 0.0,
                  rhs: df.SpectralField | None = None) -> float:
     """||L h - p h - rhs|| relative to ||rhs||, or to ||h|| without one, with L by the FFT ``apply_modal``.

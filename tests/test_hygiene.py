@@ -59,3 +59,32 @@ def test_imports_at_module_level(path):
     tree = ast.parse(path.read_text(), filename=str(path))
     found = [f"{path.name}:{node.lineno} {ast.unparse(node)}" for node in misplaced_imports(tree)]
     assert not found, f"import below module level: {', '.join(found)}"
+
+
+def nan_dropping_reductions(tree: ast.Module) -> list[ast.Call]:
+    """Builtin max or min over one generator expression or list comprehension.
+
+    Python's max(x, nan) keeps x, so such a reduction drops a NaN element
+    that follows a finite one; np.max keeps it.  Only a comprehension
+    written into the call is flagged, not a named sequence or a ``key=``
+    search over candidates.
+    """
+    return [node for node in ast.walk(tree)
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id in ("max", "min")
+            and len(node.args) == 1 and isinstance(node.args[0], (ast.GeneratorExp, ast.ListComp))]
+
+
+def test_nan_dropping_reduction_rule():
+    flagged = ["max(abs(x) for x in xs)", "min([f(x) for x in xs])", "float(max(g(a) for a in b))"]
+    kept = ["max(reqs)", "min(itertools.permutations(rows), key=cost)", "max(a, b)", "np.max([f(x) for x in xs])"]
+    for src in flagged:
+        assert len(nan_dropping_reductions(ast.parse(src))) == 1, src
+    for src in kept:
+        assert not nan_dropping_reductions(ast.parse(src)), src
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.stem)
+def test_no_nan_dropping_reduction(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    found = [f"{path.name}:{node.lineno} {ast.unparse(node)}" for node in nan_dropping_reductions(tree)]
+    assert not found, f"builtin max/min drops a NaN element (use np.max/np.min): {', '.join(found)}"

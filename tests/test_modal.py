@@ -28,6 +28,7 @@ from support import (
     fft_residual,
     kernel_basis,
     leading_eigs_oracle,
+    node_norms_oracle,
     operator_oracle,
     stencil_oracle,
     traced_peak,
@@ -839,6 +840,13 @@ def test_production_paths_use_no_dense_eigensolver(monkeypatch, tmp_path):
     refuse(scipy.linalg, "eigvals")
     refuse(np.linalg, "eig", allowed=lambda a: np.shape(a) == (3, 3) or hessenberg_stack(a))
     refuse(np.linalg, "eigvals")
+    # no dense Hermitian solve of operator size (dim >= 81) either; the norm
+    # screen's k x k tridiagonal, k = SCREEN_STEPS, is the one allowed
+    below_operator_size = lambda a: np.ndim(a) >= 1 and np.shape(a)[-1] < 81
+    for owner in (np.linalg, scipy.linalg):
+        refuse(owner, "eigh", allowed=below_operator_size)
+        refuse(owner, "eigvalsh", allowed=below_operator_size)
+    refuse(scipy.linalg, "eigvalsh_tridiagonal", allowed=below_operator_size)
     refuse(dm, "assemble_dense")
     u = small_abc(0.3)
     j = np.array([0.0, 0.0, 0.045])
@@ -970,6 +978,26 @@ class TestContinuation:
             dm.eps_lipschitz(small_abc(0.3), np.array([0.0, 0.0, 0.045]), df.const_field([1.0, 0.0, 0.0], n=1),
                              contour, eps_lo, eps_hi, 1, step)
         assert factorizations == {"lu_factor": 0, "splu": 0, "ordering": 0}
+
+    def test_lipschitz_keeps_a_nan_image(self, monkeypatch):
+        # a NaN image at eps = 0.975, the 4th of 5 half-step points: a NaN
+        # difference after a finite one must not drop out of the maximum
+        u = small_abc(0.3)
+        j = np.array([0.0, 0.0, 0.045])
+        start = dm.leading_eigs(dm.ModalOperatorSpec(u, j, 1.0, 1), count=1)[0]
+        contour_sum, calls = dm._contour_sum, []
+
+        def nan_at_fourth(res, contour, block, trans="N"):
+            calls.append(res)
+            out = contour_sum(res, contour, block, trans)
+            return np.full_like(out, np.nan) if len(calls) == 4 else out
+
+        monkeypatch.setattr(dm, "_contour_sum", nan_at_fourth)
+        lip = dm.eps_lipschitz(u, j, start.field, dm.Contour(complex(start.p), 0.02, 16), 0.9, 1.0, 1, 0.05)
+        assert len(calls) == 5
+        assert math.isfinite(lip.constant)
+        assert math.isnan(lip.constant_half_step)
+        assert not lip.rel_change <= 0.2
 
     def test_lipschitz_two_point_step_grid_accepted(self):
         u = small_abc(0.3)
@@ -1104,3 +1132,118 @@ class TestProjectorDistance:
         tiny = abs(top[0].p - top[1].p) / 2
         with pytest.raises(BoundInapplicable):
             dm.projector_distance_bound(s0, s1, dm.Contour(complex(top[0].p), tiny, 16))
+
+
+# benchmark workload seeds 1-3: ABC amplitudes, shift and second diffusivity
+WORKLOAD_SEEDS = [
+    ((0.3007092974820154, 0.32702782177955614, 0.27864957676317803),
+     (-0.037485355963641796, 0.026042588041530132, 0.012839977657633369), 0.9701405243469923),
+    ((0.285696728054959, 0.2879094686048474, 0.31885354443565683),
+     (-0.028482514493204523, 0.020995648754664004, 0.013348005901964395), 0.9624906265112171),
+    ((0.2751389500286175, 0.284208630395766, 0.3180764679123838),
+     (-0.031621474976067133, -0.025209940984723764, -0.012007511892100083), 0.9556491276198265),
+]
+
+
+class TestNormScreen:
+    """The Lanczos screen ahead of the bound's exact weighted norms leaves the bound bit-identical."""
+
+    @staticmethod
+    def seed_specs(abc, j, eps1):
+        flow = df.make_abc(df.AbcParams(*abc))
+        return dm.ModalOperatorSpec(flow, np.array(j), 1.0, 2), dm.ModalOperatorSpec(flow, np.array(j), eps1, 2)
+
+    @staticmethod
+    def unscreened(monkeypatch, s0, s1, contour):
+        with monkeypatch.context() as m:
+            m.setattr(dm, "_node_norms", node_norms_oracle)
+            return dm.projector_distance_bound(s0, s1, contour)
+
+    @staticmethod
+    def record_screen(monkeypatch, thetas):
+        """Record each screened node's matvec in node order; node k's estimate is thetas[k] where given."""
+        screened, lanczos_top = [], dm._lanczos_top
+
+        def screen(matvec, rmatvec, v0, steps):
+            screened.append(matvec)
+            k = len(screened) - 1
+            return thetas[k] if k in thetas else lanczos_top(matvec, rmatvec, v0, steps)
+
+        monkeypatch.setattr(dm, "_lanczos_top", screen)
+        return screened
+
+    @pytest.mark.parametrize("abc, j, eps1", WORKLOAD_SEEDS, ids=["seed1", "seed2", "seed3"])
+    def test_bound_matches_the_unscreened_loop_bit_for_bit(self, monkeypatch, abc, j, eps1):
+        s0, s1 = self.seed_specs(abc, j, eps1)
+        contour = dm.Contour(0.0, 0.5, 8)
+        assert dm.projector_distance_bound(s0, s1, contour) == self.unscreened(monkeypatch, s0, s1, contour)
+
+    def test_random_solenoidal_flow_matches_the_unscreened_loop(self, monkeypatch):
+        flow = df.random_real_field(1, np.random.default_rng(5), div_free=True, amplitude=0.3)
+        j = np.array([0.02, -0.03, 0.01])
+        s0, s1 = dm.ModalOperatorSpec(flow, j, 1.0, 1), dm.ModalOperatorSpec(flow, j, 0.95, 1)
+        contour = dm.Contour(0.0, 0.5, 8)
+        comp = dm.projector_distance_bound(s0, s1, contour)
+        assert comp.smallness > 0.0
+        assert comp == self.unscreened(monkeypatch, s0, s1, contour)
+
+    def test_one_exact_weighted_norm_on_the_workload(self, monkeypatch):
+        # seed 1 unscreened: 8 + 8 + 1 = 17 exact norms and 2984 node solves
+        counts = {"norm2": 0, "solve": 0}
+        norm2, solve = dm._norm2, dm._NodeFactor.solve
+
+        def counted_norm2(*args):
+            counts["norm2"] += 1
+            return norm2(*args)
+
+        def counted_solve(self, *args, **kwargs):
+            counts["solve"] += 1
+            return solve(self, *args, **kwargs)
+
+        monkeypatch.setattr(dm, "_norm2", counted_norm2)
+        monkeypatch.setattr(dm._NodeFactor, "solve", counted_solve)
+        s0, s1 = self.seed_specs(*WORKLOAD_SEEDS[0])
+        dm.projector_distance_bound(s0, s1, dm.Contour(0.0, 0.5, 8))
+        # 8 resolvent norms, the top node's weighted norm and the distance
+        assert counts["norm2"] == 10
+        assert counts["solve"] <= 1800
+
+    def test_nan_estimate_at_the_top_node_makes_the_bound_inapplicable(self, monkeypatch):
+        s0, s1 = self.seed_specs(*WORKLOAD_SEEDS[0])
+        contour = dm.Contour(0.0, 0.5, 8)
+        res0, res1 = dm._Resolvent(s0), dm._Resolvent(s1)
+        top = int(np.argmax(node_norms_oracle(res0, contour, res1.matrix - res0.matrix)))
+        screened, norm2 = self.record_screen(monkeypatch, {top: math.nan}), dm._norm2
+
+        def exact(matvec, rmatvec, dim):
+            # the top node's operator reads NaN there, as its estimate did
+            return math.nan if len(screened) > top and matvec is screened[top] else norm2(matvec, rmatvec, dim)
+
+        monkeypatch.setattr(dm, "_norm2", exact)
+        with pytest.raises(BoundInapplicable):
+            dm.projector_distance_bound(s0, s1, contour)
+        assert len(screened) == contour.nodes
+
+    def test_a_node_within_the_ratio_gets_its_exact_norm(self, monkeypatch):
+        s0, s1 = self.seed_specs(*WORKLOAD_SEEDS[0])
+        contour = dm.Contour(0.0, 0.5, 8)
+        res0, res1 = dm._Resolvent(s0), dm._Resolvent(s1)
+        delta = res1.matrix - res0.matrix
+        exact = node_norms_oracle(res0, contour, delta)
+        top = int(np.argmax(exact))
+        near, below = [k for k in range(contour.nodes) if k != top][:2]
+        thetas = dict.fromkeys(range(contour.nodes), 0.0)
+        thetas.update({top: exact[top] ** 2, near: 0.81 * exact[top] ** 2, below: 0.79 * exact[top] ** 2})
+        screened = self.record_screen(monkeypatch, thetas)
+        called, norm2 = [], dm._norm2
+
+        def recorded(matvec, rmatvec, dim):
+            called.append(matvec)
+            return norm2(matvec, rmatvec, dim)
+
+        monkeypatch.setattr(dm, "_norm2", recorded)
+        norms = dm._node_norms(res0, contour, delta)
+        assert called == [screened[top], screened[near]]
+        assert norms[top] == exact[top] and norms[near] == exact[near]
+        assert norms[below] == np.sqrt(thetas[below])
+        assert np.max(norms) == np.max(exact)
