@@ -361,11 +361,3 @@ def instability_scan(
         certified=top.unstable,
         threshold=threshold,
     )
-
-
-def recommended_amplitude(flow: df.SpectralField) -> float:
-    """Scaling that keeps the corrector series comfortably contractive: 0.05 over the flow's size."""
-    size = max(flow.l2(), df.sup_grad(flow) * df.GRAD_SAFETY)
-    if size == 0.0:
-        raise ConfigError("cannot scale the zero flow")
-    return 0.05 / size

@@ -18,9 +18,10 @@ two frequencies k_a + j_a on that axis, so the mass is a quadratic form in
 the Kronecker product of three small per-axis Dirichlet matrices, one row
 per (distinct node coordinate, mode) pair.  This keeps huge radii (R in
 the hundreds) exact and cheap, where grid quadrature would be hopeless.
-The constant-envelope band has closed forms too: each axis of its box mass
-is an integral of (2 sin(Jx)/x)^2, times cos(2 j*_a x) for the cross term of
-the paired band, and both reduce to cosines and sine integrals.
+The constant-envelope band, always paired with its mirror box at -j*, has
+closed forms too: each axis of its box mass is an integral of
+(2 sin(Jx)/x)^2, times cos(2 j*_a x) for the cross term of the pair, and
+both reduce to cosines and sine integrals.
 
 Band data are the leading eigenpair at every node of a box, shown simple
 by its gap to the next eigenvalue, and its mirror at -j, the
@@ -239,14 +240,14 @@ def _dirichlet(s: np.ndarray, r: float) -> np.ndarray:
 class ConstantBand:
     """Continuum band integral with a constant envelope vector.
 
-    F(x) = v int_{Q_J(j*)} e^{ij.x} dj (+ the conjugate box when paired),
-    the exactly integrable model for band-limited concentration.
+    F(x) = v int_{Q_J(j*)} e^{ij.x} dj + its conjugate over the mirror box
+    Q_J(-j*), so F = 2 Re(...) is real: the exactly integrable model for
+    band-limited concentration.  The band is always paired.
     """
 
     amplitude: np.ndarray
     j_star: np.ndarray
     half_width: float
-    paired: bool = True
 
     def __post_init__(self):
         v = np.asarray(self.amplitude, dtype=complex)
@@ -259,13 +260,12 @@ class ConstantBand:
             raise ConfigError(f"band half-width must be positive and finite, got {self.half_width}")
         if np.max(np.abs(js)) + self.half_width >= np.pi:
             raise ConfigError("band must stay strictly inside the fundamental cell")
-        if self.paired and np.max(np.abs(js)) <= self.half_width:
+        if np.max(np.abs(js)) <= self.half_width:
             raise ConfigError("paired bands overlap: need max |j*_a| > half-width")
 
     def total_mass(self) -> float:
         v2 = float(np.sum(np.abs(self.amplitude) ** 2))
-        boxes = 2.0 if self.paired else 1.0
-        return boxes * (2.0 * self.half_width) ** 3 * TWO_PI_CUBED * v2
+        return 2.0 * (2.0 * self.half_width) ** 3 * TWO_PI_CUBED * v2
 
     def _axis_mass(self, r: float) -> float:
         # int_{-R}^{R} (2 sin(Jx)/x)^2 dx via the sine integral
@@ -287,9 +287,6 @@ class ConstantBand:
         out = np.empty(len(radii))
         for t, r in enumerate(radii):
             direct = self._axis_mass(r) ** 3
-            if not self.paired:
-                out[t] = v2 * direct
-                continue
             cross = math.prod(self._axis_cross(r, 2.0 * self.j_star[a]) for a in range(3))
             vsq = complex(np.sum(self.amplitude**2))
             out[t] = 2.0 * v2 * direct + 2.0 * (vsq * cross).real
@@ -312,9 +309,7 @@ class ConstantBand:
                     + self.j_star[2] * axis[None, None, :]
                 )
             )
-            carrier = phase[..., None] * self.amplitude
-            if self.paired:
-                carrier = 2.0 * carrier.real
+            carrier = 2.0 * (phase[..., None] * self.amplitude).real
             out[s] = envelope[..., None] * carrier
         return SampledVolume(half_width, spacing, out)
 
@@ -429,15 +424,6 @@ def synthesize(family, half_width: float, spacing: float) -> SampledVolume:
         for s in slabs:
             acc[s] += w * np.einsum("xycd,cz->xyzd", t[s], e3)
     return SampledVolume(half_width, spacing, acc)
-
-
-def eval_family_at_points(family: BlochFamily, points: np.ndarray) -> np.ndarray:
-    """Pointwise synthesis sum_n w_n G(x; j_n) e^{i j_n . x} at arbitrary x."""
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
-    out = np.zeros((pts.shape[0], 3), dtype=np.complex128)
-    for w, j, g in zip(family.weights, family.j_nodes, family.fields):
-        out += w * df.eval_at_points(g, pts) * np.exp(1j * (pts @ j))[:, None]
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -565,41 +551,6 @@ def band_datum(
     nodes, weights = gauss_legendre_box(j_star, half_width, nodes_per_axis)
     pairs = prepare_band_pairs(flow, nodes, _ladder_ratio(eps, zeta), truncation)
     return build_band_datum(pairs, nodes, weights)
-
-
-def widest_stable_band(
-    flow,
-    j_star,
-    eps: float = 1.0,
-    zeta: float = 0.9,
-    truncation: int = 2,
-    nodes_per_axis: int = 5,
-) -> tuple[float, BlochFamily]:
-    """Largest dyadic half-width J (from 0.8 |j*|, at most 8 tries) whose band builds cleanly.
-
-    Success means every node has a simple leading eigenvalue with real part
-    at least half the one at the band center.
-    """
-    j_star = np.asarray(j_star, dtype=float)
-    center_spec = modal.ModalOperatorSpec(flow=flow, j=j_star, eps=_ladder_ratio(eps, zeta), truncation=truncation)
-    center_p = modal.leading_eigs(center_spec, count=1)[0].p
-    half = 0.8 * float(np.linalg.norm(j_star))
-    for _ in range(8):
-        try:
-            family = band_datum(
-                flow, j_star, half, eps=eps, zeta=zeta,
-                truncation=truncation, nodes_per_axis=nodes_per_axis,
-            )
-        except (BandBroken, ConfigError):
-            half *= 0.5
-            continue
-        if np.min(family.exponents.real) >= 0.5 * center_p.real:
-            return half, family
-        half *= 0.5
-    raise BandBroken(
-        f"no band half-width down to {half:g} kept the leading branch simple "
-        "and within half the center growth"
-    )
 
 
 @dataclass(frozen=True)

@@ -287,17 +287,15 @@ class GrowthFit:
     r2: float
 
 
-def fit_growth(run: EvolutionRun, window_fraction: float = 0.5) -> GrowthFit:
-    """Least-squares exponential rate over the trailing window of the trace.
+def fit_growth(run: EvolutionRun) -> GrowthFit:
+    """Least-squares exponential rate over the trailing half of the trace.
 
-    The leading samples are discarded to let transients from
+    The leading half is discarded to let transients from
     non-eigenvector starts wash out.
     """
-    if not 0.0 < window_fraction <= 1.0:
-        raise ConfigError("window_fraction must lie in (0, 1]")
     t = run.trace.t
     nrm = run.trace.norm
-    i0 = min(int(round(len(t) * (1.0 - window_fraction))), len(t) - 3)
+    i0 = min(round(len(t) / 2), len(t) - 3)
     t, nrm = t[i0:], nrm[i0:]
     if len(t) < 3:
         raise ConfigError("need at least 3 samples in the fit window")

@@ -43,11 +43,6 @@ class AbcParams:
     b: float = 1.0
     c: float = 1.0
 
-    def w1inf(self) -> float:
-        """Closed-form sup norm of the flow and of its Jacobian."""
-        a, b, c = abs(self.a), abs(self.b), abs(self.c)
-        return max(a + c, a + b, b + c)
-
     def as_tuple(self) -> tuple[float, float, float]:
         return (self.a, self.b, self.c)
 
@@ -275,11 +270,6 @@ def leray_project(f: SpectralField, shift=None) -> SpectralField:
     return SpectralField(c, kind=f.kind, scale=f.scale)
 
 
-def vector_potential(f: SpectralField) -> SpectralField:
-    """A periodic potential with curl(potential) = f, for div-free mean-free f."""
-    return -1.0 * inv_laplacian(curl(f))
-
-
 # ---------------------------------------------------------------------------
 # products and grids
 
@@ -303,11 +293,6 @@ def _from_grid(grid: np.ndarray, n_out: int) -> np.ndarray:
     lo, hi = n_out - n_take, n_out + n_take + 1
     out[lo:hi, lo:hi, lo:hi] = spec[np.ix_(idx_src, idx_src, idx_src)]
     return out
-
-
-def synthesize_grid(f: SpectralField, m: int) -> np.ndarray:
-    """Pointwise values on the uniform m^3 grid x = 2 pi scale * i / m."""
-    return _to_grid(f.coeffs, m)
 
 
 def grid_points(f: SpectralField, m: int) -> np.ndarray:
@@ -384,20 +369,6 @@ def sup_value(f: SpectralField, oversample: int = 4) -> float:
     return float(np.max(np.linalg.norm(vals, axis=-1)))
 
 
-def rescale_flow(f: SpectralField, zeta: float, n: int) -> SpectralField:
-    """Amplitude-and-period rescaling x -> zeta^{n/2}, preserving sup |grad|.
-
-    The new field is zeta^{n/2} f(x / zeta^{n/2}): coefficients shrink by
-    zeta^{n/2} while the periodicity scale grows by the same factor.
-    """
-    if not (0.0 < zeta < 1.0):
-        raise InvalidScale(f"zeta must lie in (0, 1), got {zeta}")
-    if n < 0 or n != int(n):
-        raise InvalidScale(f"scale index must be a nonnegative integer, got {n}")
-    fac = zeta ** (n / 2.0)
-    return SpectralField(f.coeffs * fac, kind=f.kind, scale=f.scale * fac)
-
-
 # ---------------------------------------------------------------------------
 # pointwise evaluation at arbitrary points
 
@@ -453,8 +424,8 @@ def _read_snapshot(path, magic: str, parse: dict, side) -> tuple[dict, np.ndarra
     """Header values, converted by ``parse``, and the (s, s, s, 3) payload.
 
     ``side`` maps the converted header to the cube side s.  An unreadable
-    file, a missing key, a malformed value or a payload of the wrong size
-    raises ConfigError naming the path.
+    file, a missing key, a malformed value, a payload of the wrong size or
+    one holding a non-finite value raises ConfigError naming the path.
     """
     try:
         with open(path, "rb") as fh:
@@ -477,6 +448,8 @@ def _read_snapshot(path, magic: str, parse: dict, side) -> tuple[dict, np.ndarra
     raw = np.frombuffer(blob[split + len(b"data\n"):], dtype="<c16")
     if raw.size != 3 * s**3:
         raise ConfigError(f"{path}: payload holds {raw.size} values, expected {3 * s**3}")
+    if not np.all(np.isfinite(raw)):
+        raise ConfigError(f"{path}: payload holds a non-finite value")
     return values, np.moveaxis(raw.reshape(3, s, s, s), 0, -1)
 
 

@@ -14,13 +14,13 @@ coordinates where the periodic reduction is exact.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
 
 from . import fields as df
-from .bloch import BlochFamily, eval_family_at_points, scale_index
+from .bloch import scale_index
 from .errors import CatalogInfeasible, ConfigError, SolverFailure
 
 __all__ = [
@@ -368,7 +368,6 @@ def plan_catalog(
     n_max: int = 3,
     ell_max: int = 3,
     margin: float = 0.25,
-    outer_cap: float | None = None,
 ) -> BlockCatalog:
     """Size and place every block (n, l) <= (n_max, l_max) against the budgets.
 
@@ -399,22 +398,11 @@ def plan_catalog(
             plateau = 2.0 * radius
             width = CutoffSpec.ramp_width_for_budget(plateau, (1.0 - margin) * beta)
             outer = plateau + width
-            if outer_cap is not None and outer > outer_cap:
-                raise CatalogInfeasible(
-                    f"block ({n},{ell}): support radius {outer:.6g} exceeds the"
-                    f" cap {outer_cap:.6g}"
-                )
             probe = Block(
                 n=n, ell=ell, quanta=(0, 0, 0), period=period,
                 radius=radius, plateau=plateau, outer=outer,
             )
-            quanta = _place_block(placed, probe)
-            placed.append(
-                Block(
-                    n=n, ell=ell, quanta=quanta, period=period,
-                    radius=radius, plateau=plateau, outer=outer,
-                )
-            )
+            placed.append(replace(probe, quanta=_place_block(placed, probe)))
     return BlockCatalog(
         stream=stream, zeta=zeta, ufrak=ufrak, tail=tail, blocks=tuple(placed)
     )
@@ -544,10 +532,10 @@ def sampled_divergence(
 class InitialDatum:
     """Symbolic datum: l^{-2}-weighted translates of one unit-mass packet.
 
-    The packet itself is referenced lazily; ``evaluate`` sums the translated
-    copies pointwise.  Norm bookkeeping is interval arithmetic: translates
-    have unit mass, and cross terms are bounded through the modeled tail at
-    half the center separation.
+    Only the weights and centers are kept, not the packet.  Norm
+    bookkeeping is interval arithmetic: translates have unit mass, and
+    cross terms are bounded through the modeled tail at half the center
+    separation.
     """
 
     eps: float
@@ -561,13 +549,6 @@ class InitialDatum:
     def in_energy_window(self) -> bool:
         lo, hi = self.norm_interval
         return 0.5 <= lo and hi <= 2.0
-
-    def evaluate(self, family: BlochFamily, points: np.ndarray) -> np.ndarray:
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
-        out = np.zeros((pts.shape[0], 3), dtype=np.complex128)
-        for w, c in zip(self.weights, self.centers):
-            out += w * eval_family_at_points(family, pts - c)
-        return out
 
 
 def build_datum(catalog: BlockCatalog, eps: float) -> InitialDatum:
@@ -677,10 +658,7 @@ def _representative_block(catalog: BlockCatalog, n: int) -> Block:
 
 def _solenoidality_rows(catalog: BlockCatalog, n: int) -> list[CheckRow]:
     rep = _representative_block(catalog, n)
-    rep_cat = BlockCatalog(
-        stream=catalog.stream, zeta=catalog.zeta, ufrak=catalog.ufrak,
-        tail=catalog.tail, blocks=(rep,),
-    )
+    rep_cat = replace(catalog, blocks=(rep,))
     dirs = np.array([
         [1.0, 0.3, -0.2], [-0.5, 1.0, 0.7], [0.2, -0.8, 1.0], [0.9, 0.6, 0.4],
     ])

@@ -100,7 +100,7 @@ class ModalOperatorSpec:
         with np.errstate(over="ignore"):
             size = self.flow.l2()
         if not math.isfinite(size):
-            raise ConfigError(f"flow coefficients too large: their l2 norm overflows to {size}")
+            raise ConfigError(f"flow coefficients too large or not finite: their l2 norm is {size}")
         if np.linalg.norm(df.mean_vector(self.flow)) > 1e-12 * max(1.0, size):
             raise ConfigError("flow must be mean-free")
         if df.divergence_rel(self.flow) > 1e-10:

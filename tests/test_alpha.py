@@ -364,12 +364,3 @@ class TestInstabilityScan:
         # and a negative one certified the zero flow, whose eigenvalues and margins are 0
         with pytest.raises(ConfigError):
             da.instability_scan(small_abc(), directions=da.axis_directions(), truncation=2, **kwargs)
-
-
-def test_recommended_amplitude_scales_inversely():
-    u = df.make_abc(df.AbcParams(1, 1, 1))
-    u2 = df.make_abc(df.AbcParams(2, 2, 2))
-    r1 = da.recommended_amplitude(u)
-    r2 = da.recommended_amplitude(u2)
-    assert r2 == pytest.approx(r1 / 2)
-    assert r1 < 0.05  # unit ABC has norms above 1

@@ -254,10 +254,8 @@ class TestVolumeMemory:
         assert vol.values.shape == (61, 61, 61, 3)
         assert peak <= 1.25 * vol.values.nbytes + 2**20
 
-    @pytest.mark.parametrize("paired", [True, False])
-    def test_constant_band_synthesis_peak(self, paired):
-        band = bloch.ConstantBand(np.array([1.0, 0.5j, -0.25]), np.array([0.5, 0.4, 0.3]), 0.1,
-                                  paired=paired)
+    def test_constant_band_synthesis_peak(self):
+        band = bloch.ConstantBand(np.array([1.0, 0.5j, -0.25]), np.array([0.5, 0.4, 0.3]), 0.1)
         vol, peak = traced_peak(lambda: band.synthesize(3.0, 0.1))
         assert vol.values.dtype == np.complex128
         assert peak <= 1.25 * vol.values.nbytes + 2**20
@@ -427,14 +425,6 @@ class TestConstantBand:
         exact = band.box_mass(vol.axis[-1])[0]
         assert trap == pytest.approx(exact, rel=1e-3)
 
-    def test_unpaired_synthesis_cross_check(self):
-        band = bloch.ConstantBand(
-            np.array([0.3, 1.0, 0.0]), np.array([0.5, 0.4, 0.3]), 0.1, paired=False
-        )
-        vol = band.synthesize(5.0, 0.1)
-        trap = bloch.sampled_box_mass(vol)
-        assert trap == pytest.approx(band.box_mass(vol.axis[-1])[0], rel=1e-3)
-
     def test_tail_follows_inverse_width_law(self):
         # Relative mass deficit ~ 3/(pi J R): check within a factor of 2.5.
         band = bloch.ConstantBand(np.ones(3), np.array([0.5, 0.4, 0.3]), 0.1)
@@ -549,13 +539,6 @@ class TestBandDatum:
             )
             totals.append(fam.total_mass())
         assert abs(totals[1] - totals[0]) <= 1e-6 * abs(totals[1])
-
-    def test_widest_stable_band(self):
-        half, fam = bloch.widest_stable_band(
-            _abc_flow(), J_STAR, truncation=1, nodes_per_axis=2
-        )
-        assert 0.0 < half <= 0.8 * np.linalg.norm(J_STAR)
-        assert np.min(fam.exponents.real) > 0.0
 
 
 class TestConcentration:

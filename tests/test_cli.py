@@ -389,11 +389,16 @@ def _abc_snapshot(tmp_path, old, new):
     return path
 
 
-def _catalog_with_label(tmp_path, label):
-    """A one-block catalog whose block line starts with ``label`` instead of n."""
+def _one_block_catalog(tmp_path):
     path = tmp_path / "catalog.txt"
     stream = df.make_abc(df.AbcParams(0.3, 0.3, 0.3))
     glue.save_catalog(glue.plan_catalog(stream, glue.TailModel(12.2, 1.0), n_max=1, ell_max=1), path)
+    return path
+
+
+def _catalog_with_label(tmp_path, label):
+    """A one-block catalog whose block line starts with ``label`` instead of n."""
+    path = _one_block_catalog(tmp_path)
     lines = path.read_text().splitlines()
     lines[7] = label + lines[7][1:]
     path.write_text("\n".join(lines) + "\n")
@@ -415,6 +420,38 @@ def test_unreadable_or_malformed_input_file_exits_2(tmp_path, case, capsys):
     assert code == 2
     assert manifest is None
     assert capsys.readouterr().err.startswith("error: ")
+
+
+def _nan_snapshot(path):
+    """An ABC field snapshot whose payload holds one NaN coefficient."""
+    c = np.array(df.make_abc(df.AbcParams(0.3, 0.3, 0.3)).coeffs)
+    c[1, 1, 0, 0] = np.nan
+    df.save_field(df.SpectralField(c), path)
+    return path
+
+
+def _catalog_with_nan_stream(tmp_path):
+    path = _one_block_catalog(tmp_path)
+    _nan_snapshot(path.with_name(path.name + ".stream"))
+    return path
+
+
+NAN_SNAPSHOT_INPUTS = {
+    "spectrum-eigs": lambda t: _eigs_on(_nan_snapshot(t / "nan.field")),
+    "glue-build": lambda t: ["glue", "build", "--flow-file", str(_nan_snapshot(t / "nan.field")),
+                             "--tail-coefficient", "12.2", "--n-max", "1", "--ell-max", "1"],
+    "glue-check": lambda t: ["glue", "check", "--catalog", str(_catalog_with_nan_stream(t))],
+}
+
+
+@pytest.mark.parametrize("case", list(NAN_SNAPSHOT_INPUTS))
+def test_nan_snapshot_exits_2(tmp_path, case, capsys):
+    # a NaN past the load would be planned into a catalog, and checking that
+    # catalog would end in an untyped SVD failure instead of exit 2
+    code, out, manifest = run(NAN_SNAPSHOT_INPUTS[case](tmp_path), tmp_path)
+    assert code == 2
+    assert manifest is None
+    assert "payload holds a non-finite value" in capsys.readouterr().err
 
 
 class TestConfigAndEnvironment:

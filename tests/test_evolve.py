@@ -136,9 +136,6 @@ class TestEvolve:
             evolve.evolve(spec, h0, t_end=-1.0)
         with pytest.raises(ConfigError):
             evolve.evolve(spec, h0, t_end=1.0, sample_every=0)
-        run = evolve.evolve(spec, h0, t_end=1.0, dt=0.1)
-        with pytest.raises(ConfigError):
-            evolve.fit_growth(run, window_fraction=0.0)
 
     @pytest.mark.parametrize("dt", [0.0, -0.1, math.nan, math.inf])
     def test_invalid_time_step_rejected(self, dt):

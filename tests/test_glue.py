@@ -247,14 +247,6 @@ class TestPlanCatalog:
         for blk in cat.blocks:
             assert blk.cutoff.derivative_budget_measured() <= cat.budget(blk)
 
-    def test_outer_cap_infeasible(self):
-        tail = glue.TailModel(coefficient=5.0, valid_from=1.0)
-        with pytest.raises(CatalogInfeasible, match=r"\(1,2\)"):
-            glue.plan_catalog(
-                _stream(), tail, zeta=0.9, ufrak=0.5, n_max=1, ell_max=2,
-                outer_cap=300.0,
-            )
-
     def test_validation(self):
         tail = glue.TailModel(coefficient=5.0, valid_from=1.0)
         with pytest.raises(ConfigError):
@@ -281,7 +273,9 @@ class TestPlanCatalog:
         cat = _moderate_catalog()
         for n in (1, 2):
             direct = df.curl(cat.stream_for(n))
-            oracle = df.rescale_flow(df.curl(cat.stream), cat.zeta, n)
+            # the velocity rescaled directly: zeta^(n/2) curl(stream)(x / zeta^(n/2))
+            f = cat.zeta ** (n / 2.0)
+            oracle = df.SpectralField(df.curl(cat.stream).coeffs * f, scale=f)
             assert direct.scale == pytest.approx(oracle.scale)
             np.testing.assert_allclose(
                 direct.coeffs, oracle.coeffs, rtol=0, atol=1e-15
@@ -413,23 +407,6 @@ class TestDatum:
         assert hi - lo < 0.2
         assert datum.in_energy_window()
         assert datum.first_term_plateau_norm > 0.9
-
-    def test_evaluate_sums_translates(self):
-        cat = _moderate_catalog()
-        datum = glue.build_datum(cat, 0.9)
-        g = df.const_field([1.0, 0.0, 0.5], n=1)
-        family = bloch.BlochFamily(
-            j_nodes=np.array([[0.1, 0.0, -0.05]]),
-            weights=np.array([1.0]),
-            fields=(g,),
-        )
-        pts = np.array([[0.0, 0.0, 0.0], [5.0, -2.0, 1.0]]) + datum.centers[0]
-        got = datum.evaluate(family, pts)
-        want = sum(
-            w * bloch.eval_family_at_points(family, pts - c)
-            for w, c in zip(datum.weights, datum.centers)
-        )
-        np.testing.assert_allclose(got, want, rtol=0, atol=1e-14)
 
 
 @pytest.fixture(scope="module")

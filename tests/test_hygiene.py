@@ -1,11 +1,13 @@
 """Source hygiene of the package, checked with the standard library alone."""
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "dynamo"
+REPO = Path(__file__).resolve().parent.parent
+PACKAGE = REPO / "src" / "dynamo"
 MODULES = sorted(PACKAGE.glob("*.py"))
 
 
@@ -88,3 +90,45 @@ def test_no_nan_dropping_reduction(path):
     tree = ast.parse(path.read_text(), filename=str(path))
     found = [f"{path.name}:{node.lineno} {ast.unparse(node)}" for node in nan_dropping_reductions(tree)]
     assert not found, f"builtin max/min drops a NaN element (use np.max/np.min): {', '.join(found)}"
+
+
+# Public names with no reader outside the tests, kept in src on purpose.
+REFERENCE_ORACLES = {
+    "abc_closed_form": "the closed-form first-order ABC eigenvalues the alpha matrix is checked against",
+    "evaluate_velocity": "the direct block sum that evaluate_block is checked against",
+    "load_volume": "reads the volume.vol snapshot that `bloch synth` writes",
+    "random_real_field": "the random probe fields of the field and operator tests",
+}
+
+
+def loaded_names(tree: ast.Module) -> set[str]:
+    """Names and attribute names the code loads; a string listed in __all__ is not a load."""
+    return ({node.id for node in ast.walk(tree) if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+            | {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)
+               and isinstance(node.ctx, ast.Load)})
+
+
+def uncalled_public_names() -> list[str]:
+    """Public module-level functions and classes of the package that no code in
+    src/dynamo, scripts/ or perfbench/ loads and README.md does not name."""
+    read, defined = set(), []
+    for path in MODULES:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        read |= loaded_names(tree)
+        defined += [(path.stem, node.name) for node in tree.body
+                    if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_")]
+    for path in [*(REPO / "scripts").rglob("*.py"), *(REPO / "perfbench").rglob("*.py")]:
+        read |= loaded_names(ast.parse(path.read_text(), filename=str(path)))
+    readme = (REPO / "README.md").read_text()
+    return [f"{module}.{name}" for module, name in defined
+            if name not in read and not re.search(rf"\b{name}\b", readme)]
+
+
+def test_every_public_name_has_a_caller():
+    found = [name for name in uncalled_public_names() if name.split(".")[1] not in REFERENCE_ORACLES]
+    assert not found, f"public names that only tests reach (delete them or give them a caller): {', '.join(found)}"
+
+
+def test_reference_oracles_are_still_uncalled():
+    # an oracle that gains a production reader leaves the list
+    assert sorted(name.split(".")[1] for name in uncalled_public_names()) == sorted(REFERENCE_ORACLES)
