@@ -164,9 +164,6 @@ class AlphaMatrix:
     emf: np.ndarray                    # direction-independent mean EMF matrix
     max_residual: float
 
-    def apply(self, v) -> np.ndarray:
-        return self.matrix @ np.asarray(v, dtype=np.complex128).reshape(3)
-
 
 def mean_emf_matrix(
     flow: df.SpectralField,

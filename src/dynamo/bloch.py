@@ -360,10 +360,6 @@ class SampledVolume:
             raise SolverFailure("sampled values must be finite")
         object.__setattr__(self, "values", vals)
 
-    @property
-    def axis(self) -> np.ndarray:
-        return volume_axis(self.half_width, self.spacing)
-
 
 def sampled_box_mass(vol: SampledVolume) -> float:
     """Trapezoid quadrature of |F|^2 over the sampled cube (cross-check).
@@ -407,8 +403,6 @@ def synthesize(family, half_width: float, spacing: float) -> SampledVolume:
     complex sample, 3 per point); grids above BOX_GRID_CAP entries raise
     TooLarge before anything is allocated.
     """
-    if isinstance(family, ConstantBand):
-        return family.synthesize(half_width, spacing)
     axis = volume_axis(half_width, spacing)
     m = len(axis)
     n = family.truncation

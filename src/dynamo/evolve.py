@@ -64,7 +64,6 @@ class Stepper:
 
     def __init__(self, spec: ModalOperatorSpec):
         self.spec = spec
-        self._n = spec.truncation
         pattern, entries = modal._entries(spec)
         self._diag = entries[:spec.dim].real.copy()
         entries[:spec.dim] = 0.0
@@ -109,14 +108,6 @@ class Stepper:
         out = np.multiply(e, x, dtype=np.complex128)
         out += k1
         return out.reshape(c.shape)
-
-    def step(self, h: df.SpectralField, dt: float) -> df.SpectralField:
-        _check_dt(dt)
-        c = df.resize(h, self._n).coeffs
-        out = self.step_coeffs(c, dt)
-        if not np.all(np.isfinite(out)):
-            raise BlowUpDetected("non-finite state after one step")
-        return df.SpectralField(out, kind="complex")
 
 
 @dataclass(frozen=True)
@@ -188,7 +179,7 @@ def evolve(
     dt = t_end / steps
     stepper = Stepper(spec)
 
-    grad_bound = df.GRAD_SAFETY * df.sup_grad(spec.flow, ord="2")
+    grad_bound = df.GRAD_SAFETY * df.sup_grad(spec.flow)
     sup_u = df.GRAD_SAFETY * df.sup_value(spec.flow)
     energy_rate = sup_u**2 / spec.eps
 

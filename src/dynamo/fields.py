@@ -153,16 +153,17 @@ def resize(f: SpectralField, n_out: int) -> SpectralField:
     return SpectralField(f.coeffs[lo:hi, lo:hi, lo:hi], kind=f.kind, scale=f.scale)
 
 
-def zero_field(n: int, kind: str = "real", scale: float = 1.0) -> SpectralField:
-    return SpectralField(np.zeros((2 * n + 1,) * 3 + (3,), dtype=np.complex128), kind=kind, scale=scale)
+def zero_field(n: int, kind: str = "real") -> SpectralField:
+    return SpectralField(np.zeros((2 * n + 1,) * 3 + (3,), dtype=np.complex128), kind=kind)
 
 
-def const_field(v, n: int = 0, scale: float = 1.0) -> SpectralField:
+def const_field(v) -> SpectralField:
+    """The constant field v at truncation 0."""
     v = np.asarray(v, dtype=np.complex128)
     kind = "real" if np.allclose(v.imag, 0.0) else "complex"
-    c = np.zeros((2 * n + 1,) * 3 + (3,), dtype=np.complex128)
-    c[n, n, n] = v
-    return SpectralField(c, kind=kind, scale=scale)
+    c = np.zeros((1, 1, 1, 3), dtype=np.complex128)
+    c[0, 0, 0] = v
+    return SpectralField(c, kind=kind)
 
 
 @functools.lru_cache(maxsize=16)
@@ -179,20 +180,17 @@ def wavevectors(n: int, scale: float = 1.0) -> np.ndarray:
     return kv
 
 
-def make_abc(params: AbcParams, n: int = 1) -> SpectralField:
-    """Three-mode Beltrami flow with amplitudes (a, b, c).
+def make_abc(params: AbcParams) -> SpectralField:
+    """Three-mode Beltrami flow with amplitudes (a, b, c), at truncation 1.
 
     Real-space components are (a sin x3 + c cos x2, b sin x1 + a cos x3,
     c sin x2 + b cos x1); the Fourier support is exactly the six unit modes.
     """
-    if n < 1:
-        raise InvalidTruncation("the flow needs truncation radius >= 1")
     a, b, c = params.as_tuple()
-    f = zero_field(n)
-    coeffs = np.array(f.coeffs)
+    coeffs = np.zeros((3, 3, 3, 3), dtype=np.complex128)
 
     def put(k, v):
-        coeffs[k[0] + n, k[1] + n, k[2] + n] = v
+        coeffs[k[0] + 1, k[1] + 1, k[2] + 1] = v
 
     # a sin x3 e1 + a cos x3 e2  (modes (0,0,+-1))
     put((0, 0, 1), [-0.5j * a, 0.5 * a, 0.0])
@@ -210,11 +208,11 @@ def mean_vector(f: SpectralField) -> np.ndarray:
     return f.coeff((0, 0, 0))
 
 
-def is_hermitian(f: SpectralField, tol: float = 1e-12) -> bool:
-    """Whether coefficients satisfy the real-field symmetry c(-k) = conj c(k)."""
+def is_hermitian(f: SpectralField) -> bool:
+    """Whether coefficients satisfy the real-field symmetry c(-k) = conj c(k), to 1e-12 relative."""
     c = f.coeffs
     defect = np.max(np.abs(c - f.conjugate().coeffs))
-    return bool(defect <= tol * max(1.0, np.max(np.abs(c))))
+    return bool(defect <= 1e-12 * max(1.0, np.max(np.abs(c))))
 
 
 def hermitize(f: SpectralField) -> SpectralField:
@@ -340,23 +338,14 @@ def _oversampled_m(n: int, oversample: int) -> int:
     return m + (-m) % 4  # multiples of 4 put the quarter-period extrema on grid
 
 
-def sup_grad(f: SpectralField, oversample: int = 4, ord: str = "inf") -> float:
-    """Grid maximum of a pointwise Jacobian norm (a lower bound on the sup).
-
-    ord='inf' uses the max absolute row sum (the natural companion of the
-    componentwise sup norm); ord='2' uses the spectral norm, which is the
-    right constant for quadratic-form energy estimates.
-    """
+def sup_grad(f: SpectralField, oversample: int = 4) -> float:
+    """Grid maximum of the pointwise spectral norm of the Jacobian (a lower
+    bound on the sup), the constant of quadratic-form energy estimates."""
     m = _oversampled_m(f.truncation, oversample)
     kv = wavevectors(f.truncation, f.scale)
     # pointwise Jacobian J[..., i, l] = d_l f_i on the m^3 grid
     jac = np.stack([_to_grid(1j * kv[..., l:l + 1] * f.coeffs, m) for l in range(3)], axis=-1)
-    if ord == "inf":
-        pointwise = np.max(np.sum(np.abs(jac), axis=-1), axis=-1)
-    elif ord == "2":
-        pointwise = np.linalg.norm(jac.real.reshape(-1, 3, 3), ord=2, axis=(1, 2))
-    else:
-        raise ConfigError(f"unsupported Jacobian norm {ord!r}")
+    pointwise = np.linalg.norm(jac.real.reshape(-1, 3, 3), ord=2, axis=(1, 2))
     return float(np.max(pointwise))
 
 
@@ -494,12 +483,7 @@ def random_real_field(
     return f
 
 
-def random_complex_field(
-    n: int,
-    rng: np.random.Generator,
-    scale: float = 1.0,
-    amplitude: float = 1.0,
-) -> SpectralField:
+def random_complex_field(n: int, rng: np.random.Generator) -> SpectralField:
     shape = (2 * n + 1,) * 3 + (3,)
     raw = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-    return SpectralField(raw * amplitude, kind="complex", scale=scale)
+    return SpectralField(raw, kind="complex")

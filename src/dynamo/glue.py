@@ -398,6 +398,10 @@ def plan_catalog(
             plateau = 2.0 * radius
             width = CutoffSpec.ramp_width_for_budget(plateau, (1.0 - margin) * beta)
             outer = plateau + width
+            if not outer > plateau:
+                raise CatalogInfeasible(
+                    f"block ({n},{ell}): ramp width {width:.3g} vanishes against plateau {plateau:.3g}"
+                )
             probe = Block(
                 n=n, ell=ell, quanta=(0, 0, 0), period=period,
                 radius=radius, plateau=plateau, outer=outer,
@@ -429,9 +433,6 @@ class GluedEvaluation:
             raise ConfigError("evaluation arrays are inconsistent")
         if not (np.all(np.isfinite(self.velocity)) and np.all(np.isfinite(self.gradient))):
             raise SolverFailure("glued evaluation produced non-finite values")
-
-    def divergence(self) -> np.ndarray:
-        return np.trace(self.gradient, axis1=1, axis2=2)
 
 
 def _local_fields(
@@ -638,7 +639,7 @@ class CatalogReport:
 def _w2_components(f: df.SpectralField, oversample: int = 4) -> tuple[float, float, float]:
     """sup |f|, sup ||grad f||_2 and sup_i ||Hess f_i||_2 on an oversampled grid."""
     s0 = df.sup_value(f, oversample)
-    s1 = df.sup_grad(f, oversample, ord="2")
+    s1 = df.sup_grad(f, oversample)
     m = df._oversampled_m(f.truncation, oversample)
     pts = df.grid_points(f, m).reshape(-1, 3)
     hess = df.eval_hessian_at_points(f, pts).real
@@ -754,22 +755,20 @@ def check_catalog(
 def smallest_passing_constant(
     stream: df.SpectralField,
     tail: TailModel,
-    zeta: float = 0.9,
     n_max: int = 2,
     ell_max: int = 2,
-    candidates: tuple[float, ...] = (1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0),
-    eps_samples: tuple[float, ...] = (),
 ) -> tuple[float, dict[float, CatalogReport]]:
-    """Sweep separation constants; return the first that passes every check."""
+    """Sweep the dyadic separation constants 1 to 64 at shrink ratio 0.9;
+    return the first whose catalog passes every static check."""
     reports: dict[float, CatalogReport] = {}
-    for ufrak in candidates:
+    for ufrak in (1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0):
         try:
             catalog = plan_catalog(
-                stream, tail, zeta=zeta, ufrak=ufrak, n_max=n_max, ell_max=ell_max
+                stream, tail, ufrak=ufrak, n_max=n_max, ell_max=ell_max
             )
         except CatalogInfeasible:
             continue
-        report = check_catalog(catalog, eps_samples=eps_samples)
+        report = check_catalog(catalog)
         reports[ufrak] = report
         if report.passed:
             return ufrak, reports

@@ -212,13 +212,11 @@ class _Pattern:
         s = self.structure
         data = entries[s.order]
         keep = data != 0
-        if keep.all():
-            # the matrix owns its index arrays: sum_duplicates, or any caller,
-            # compacting them in place must not reach the cached structure
-            indices, indptr = s.indices.copy(), s.indptr.copy()
-        else:
-            data, indices = data[keep], s.indices[keep]
-            indptr = np.concatenate(([0], np.cumsum(keep)))[s.indptr]
+        # boolean indexing copies, so the matrix owns its index arrays:
+        # sum_duplicates, or any caller, compacting them in place must not
+        # reach the cached structure
+        data, indices = data[keep], s.indices[keep]
+        indptr = np.concatenate(([0], np.cumsum(keep)))[s.indptr]
         out = sp.csr_array((data, indices, indptr), shape=(s.size, s.size))
         if s.duplicates:
             out.sum_duplicates()
@@ -722,8 +720,7 @@ class RieszProjector:
     Construction doubles the quadrature node count, up to MAX_NODES, until
     the idempotency defect measured on eight random unit probes (fixed
     seed) drops below 1e-8; a NaN defect raises at once.  The achieved
-    defect and the rank, the argument-principle count of the enclosed
-    eigenvalues, are kept as attributes.
+    defect is kept as an attribute; the projector counts no rank.
     """
 
     def __init__(self, spec: ModalOperatorSpec, contour: Contour):
@@ -748,17 +745,12 @@ class RieszProjector:
             )
         self.contour = Contour(contour.center, contour.radius, nodes)
         self.idempotency_defect = defect
-        self.rank_estimate = _count(res, self.contour)
 
     def apply_block(self, block: np.ndarray) -> np.ndarray:
         # a projector keeps no arrays from construction: held across calls,
         # even the sparse matrix pins heap between the freed node factors,
         # and the process grows with every projector kept alive
         return _contour_sum(_Resolvent(self.spec), self.contour, block)
-
-    def apply(self, f: df.SpectralField) -> df.SpectralField:
-        x = field_to_vec(df.resize(f, self.spec.truncation))
-        return vec_to_field(self.apply_block(x[:, None])[:, 0], self.spec.truncation)
 
 
 @dataclass(frozen=True)
@@ -789,7 +781,10 @@ def _norm2(matvec, rmatvec, dim: int) -> float:
     v0 = np.random.default_rng(11).standard_normal(dim) + 0.0j
     # svds hands tol**2 to its Lanczos on A^H A, which then stops at a
     # residual of 1e-14 relative to sigma^2
-    return float(spla.svds(op, k=1, v0=v0, tol=1e-7, return_singular_vectors=False)[0])
+    try:
+        return float(spla.svds(op, k=1, v0=v0, tol=1e-7, return_singular_vectors=False)[0])
+    except spla.ArpackError as exc:  # also ArpackNoConvergence; a NaN operator raises -9999
+        raise SolverFailure(f"2-norm Lanczos failed: {exc}") from exc
 
 
 def _lanczos_top(matvec, rmatvec, v0: np.ndarray, steps: int) -> float:

@@ -248,13 +248,13 @@ def evolve_reference(spec: dm.ModalOperatorSpec, h0: df.SpectralField, t_end: fl
                      sample_every: int = 1, project: bool = False):
     """Field-level reference of ``evolve``: the trace and the final state.
 
-    Every step goes through ``Stepper.step`` and every projection and drift
+    Every step goes through ``Stepper.step_coeffs`` and every projection and drift
     through the field primitives ``leray_project`` and ``divergence_rel``.
     """
     steps = max(1, math.ceil(t_end / dt - 1e-12))
     dt = t_end / steps
     stepper = ev.Stepper(spec)
-    grad_bound = df.GRAD_SAFETY * df.sup_grad(spec.flow, ord="2")
+    grad_bound = df.GRAD_SAFETY * df.sup_grad(spec.flow)
     energy_rate = (df.GRAD_SAFETY * df.sup_value(spec.flow)) ** 2 / spec.eps
     k2 = np.sum(spec.shifted_wavevectors() ** 2, axis=-1)
     h = df.resize(h0, spec.truncation)
@@ -280,7 +280,7 @@ def evolve_reference(spec: dm.ModalOperatorSpec, h0: df.SpectralField, t_end: fl
     g_prev = grad_sq(h)
     record(0.0, h, integral)
     for i in range(1, steps + 1):
-        h = stepper.step(h, dt)
+        h = df.SpectralField(stepper.step_coeffs(h.coeffs, dt), kind="complex")
         if project:
             h = df.leray_project(h, shift=spec.j)
         g_new = grad_sq(h)
@@ -313,7 +313,7 @@ def evolve_per_step(spec: dm.ModalOperatorSpec, h0: df.SpectralField, t_end: flo
     steps = max(1, math.ceil(t_end / dt - 1e-12))
     dt = t_end / steps
     stepper = ev.Stepper(spec)
-    grad_bound = df.GRAD_SAFETY * df.sup_grad(spec.flow, ord="2")
+    grad_bound = df.GRAD_SAFETY * df.sup_grad(spec.flow)
     energy_rate = (df.GRAD_SAFETY * df.sup_value(spec.flow)) ** 2 / spec.eps
 
     kappa = spec.shifted_wavevectors().reshape(-1, 3)

@@ -297,7 +297,7 @@ class TestAlphaMatrix:
         am = da.alpha_matrix(small_abc(), [0, 1, 0], truncation=2)
         v = np.array([0.3 + 0.1j, -0.2, 0.7j])
         recon = am.eigenvectors @ (am.eigenvalues * la.solve(am.eigenvectors, v))
-        assert np.linalg.norm(recon - am.apply(v)) < 1e-10 * max(np.linalg.norm(am.apply(v)), 1e-300)
+        assert np.linalg.norm(recon - am.matrix @ v) < 1e-10 * max(np.linalg.norm(am.matrix @ v), 1e-300)
 
     def test_zero_direction_rejected(self):
         with pytest.raises(UndefinedDirection):

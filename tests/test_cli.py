@@ -344,6 +344,15 @@ class TestGlue:
         assert "CatalogInfeasible" in manifest["error"]
         assert not (out / "catalog.txt").exists()
 
+    @pytest.mark.parametrize("extra", [["--tail-coefficient", "1e200"],
+                                       ["--tail-coefficient", "1e17", "--ufrak", "1"]])
+    def test_ramp_width_below_plateau_spacing_exits_3(self, tmp_path, extra):
+        # plateau + width rounds to the plateau: the catalog is infeasible, not the config invalid
+        code, out, manifest = run(["glue", "build", "--abc", "0.3,0.3,0.3", *extra], tmp_path)
+        assert code == 3
+        assert "CatalogInfeasible" in manifest["error"] and "vanishes against plateau" in manifest["error"]
+        assert not (out / "catalog.txt").exists()
+
     @pytest.mark.parametrize("valid_from", ["nan", "inf", "0"])
     def test_invalid_tail_valid_from_exits_2(self, tmp_path, valid_from):
         code, out, _ = run(

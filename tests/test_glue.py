@@ -334,7 +334,7 @@ class TestEvaluate:
         offsets = r * np.array([[0.6, 0.64, 0.48], [-0.8, 0.6, 0.0]])
         ev = glue.evaluate_block(cat, 0, offsets)
         scale = np.max(np.abs(ev.gradient))
-        assert np.max(np.abs(ev.divergence())) < 1e-12 * scale
+        assert np.max(np.abs(np.trace(ev.gradient, axis1=1, axis2=2))) < 1e-12 * scale
 
     def test_sampled_divergence_small_and_second_order(self):
         cat = _moderate_catalog()
@@ -455,20 +455,16 @@ class TestCheckCatalog:
 
     def test_dyadic_sweep_reports_first_pass(self):
         tail = glue.TailModel(coefficient=5.0, valid_from=1.0)
-        value, reports = glue.smallest_passing_constant(
-            _stream(), tail, n_max=1, ell_max=1,
-            candidates=(1.0, 2.0, 4.0, 8.0, 16.0),
-        )
+        value, reports = glue.smallest_passing_constant(_stream(), tail, n_max=1, ell_max=1)
         assert value == 16.0
         assert reports[16.0].passed
         assert not any(reports[u].passed for u in (1.0, 2.0, 4.0, 8.0))
 
     def test_sweep_with_no_winner_raises(self):
-        tail = glue.TailModel(coefficient=5.0, valid_from=1.0)
+        # no candidate can plan a catalog against so heavy a tail
+        tail = glue.TailModel(coefficient=1e308, valid_from=1.0)
         with pytest.raises(CatalogInfeasible):
-            glue.smallest_passing_constant(
-                _stream(), tail, n_max=1, ell_max=1, candidates=(1.0, 2.0)
-            )
+            glue.smallest_passing_constant(_stream(), tail, n_max=1, ell_max=1)
 
 
 class TestCatalogIO:

@@ -101,11 +101,15 @@ REFERENCE_ORACLES = {
 }
 
 
+def attribute_loads(tree: ast.Module) -> set[str]:
+    """Attribute names the code loads, as in ``obj.name``."""
+    return {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+
+
 def loaded_names(tree: ast.Module) -> set[str]:
     """Names and attribute names the code loads; a string listed in __all__ is not a load."""
     return ({node.id for node in ast.walk(tree) if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
-            | {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)
-               and isinstance(node.ctx, ast.Load)})
+            | attribute_loads(tree))
 
 
 def uncalled_public_names() -> list[str]:
@@ -132,3 +136,32 @@ def test_every_public_name_has_a_caller():
 def test_reference_oracles_are_still_uncalled():
     # an oracle that gains a production reader leaves the list
     assert sorted(name.split(".")[1] for name in uncalled_public_names()) == sorted(REFERENCE_ORACLES)
+
+
+def uncalled_public_members() -> list[str]:
+    """Public methods and properties of the package's public classes that no
+    attribute load in src/dynamo, scripts/ or perfbench/ reads and no string
+    constant in perfbench/ names (its span hooks wrap methods by name).
+
+    A bare name load does not count: ``step`` and ``axis`` are also local
+    variables.
+    """
+    read, defined = set(), []
+    for path in MODULES:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        read |= attribute_loads(tree)
+        defined += [(path.stem, cls.name, fn.name) for cls in tree.body
+                    if isinstance(cls, ast.ClassDef) and not cls.name.startswith("_")
+                    for fn in cls.body if isinstance(fn, ast.FunctionDef) and not fn.name.startswith("_")]
+    for path in (REPO / "scripts").rglob("*.py"):
+        read |= attribute_loads(ast.parse(path.read_text(), filename=str(path)))
+    for path in (REPO / "perfbench").rglob("*.py"):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        read |= attribute_loads(tree) | {node.value for node in ast.walk(tree)
+                                         if isinstance(node, ast.Constant) and isinstance(node.value, str)}
+    return [f"{module}.{cls}.{name}" for module, cls, name in defined if name not in read]
+
+
+def test_every_public_member_has_a_caller():
+    found = uncalled_public_members()
+    assert not found, f"members that only tests reach (delete them or give them a caller): {', '.join(found)}"
