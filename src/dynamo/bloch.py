@@ -133,12 +133,12 @@ class BlochFamily:
             raise ConfigError("nodes, weights, and fields must align and be nonempty")
         if np.any(weights <= 0.0) or not np.all(np.isfinite(weights)):
             raise ConfigError("quadrature weights must be positive and finite")
-        if np.max(np.abs(nodes)) >= np.pi:
+        if not np.max(np.abs(nodes)) < np.pi:
             raise ConfigError("band nodes must stay strictly inside the fundamental cell")
         n = self.fields[0].truncation
         for g in self.fields:
-            if g.truncation != n or g.scale != 1.0:
-                raise ConfigError("family fields must share truncation at unit scale")
+            if g.truncation != n:
+                raise ConfigError("family fields must share one truncation")
         if self.exponents is not None:
             exps = np.asarray(self.exponents, dtype=complex)
             if exps.shape != (m,):
@@ -156,7 +156,7 @@ class BlochFamily:
             dist = np.linalg.norm(nodes + nodes[i], axis=1)
             dist[taken] = np.inf
             k = int(np.argmin(dist))
-            if dist[k] > 1e-12 or k == i:
+            if not dist[k] <= 1e-12 or k == i:
                 raise ConfigError(f"node {i} has no mirror partner at -j")
             taken[i] = taken[k] = True
             mirror = self.fields[i].conjugate().coeffs
@@ -164,7 +164,7 @@ class BlochFamily:
             if np.max(np.abs(self.fields[k].coeffs - mirror)) > 1e-10 * scale_ref:
                 raise ConfigError(f"fields at nodes {i} and {k} are not conjugate mirrors")
             if self.exponents is not None:
-                if abs(self.exponents[k] - np.conj(self.exponents[i])) > 1e-8:
+                if not abs(self.exponents[k] - np.conj(self.exponents[i])) <= 1e-8:
                     raise ConfigError(f"exponents at nodes {i} and {k} are not conjugate")
 
     def __len__(self) -> int:
@@ -190,8 +190,9 @@ class BlochFamily:
         quadratic form Re <G, kron(K_1, K_2, K_3, I_3) G> with the real
         symmetric K_a = 2R sinc((s - s^T) R/pi).  With U_a distinct
         coordinates on axis a, G holds 3 (2N+1)^3 prod_a U_a entries;
-        families above BOX_GRID_CAP raise TooLarge.  A negative mass, or
-        one that falls as R grows, raises SolverFailure.
+        families above BOX_GRID_CAP raise TooLarge.  A mass that is not
+        finite, a negative mass, or one that falls as R grows, raises
+        SolverFailure.
         """
         radii = _check_radii(radii)
         n = self.truncation
@@ -211,13 +212,17 @@ class BlochFamily:
         kvals = np.arange(-n, n + 1, dtype=float)
         freqs = [(u[:, None] + kvals).ravel() for u, _ in axes]
         out = np.empty(len(radii))
-        for t, r in enumerate(radii):
-            # each mode product moves the contracted axis to the back, so
-            # three of them leave the component axis in front
-            kg = grid
-            for s in freqs:
-                kg = np.tensordot(kg, _dirichlet(s, r), axes=(0, 0))
-            out[t] = np.vdot(np.moveaxis(grid, -1, 0), kg).real
+        # an overflow ends as a non-finite mass, which raises below
+        with np.errstate(over="ignore", invalid="ignore"):
+            for t, r in enumerate(radii):
+                # each mode product moves the contracted axis to the back, so
+                # three of them leave the component axis in front
+                kg = grid
+                for s in freqs:
+                    kg = np.tensordot(kg, _dirichlet(s, r), axes=(0, 0))
+                out[t] = np.vdot(np.moveaxis(grid, -1, 0), kg).real
+        if not np.all(np.isfinite(out)):
+            raise SolverFailure("box mass is not finite")
         # |F|^2 >= 0 on nested boxes: the mass is nonnegative and grows with R
         tol = 1e-10 * np.max(np.abs(out))
         if np.min(out) < -tol:

@@ -104,7 +104,7 @@ def _load_flow(args) -> df.SpectralField:
     if not (args.delta0 > 0.0 and np.isfinite(args.delta0)):
         raise ConfigError(f"amplitude factor must be positive and finite, got {args.delta0}")
     if args.delta0 != 1.0:
-        f = df.SpectralField(f.coeffs * args.delta0, kind=f.kind, scale=f.scale)
+        f = df.SpectralField(f.coeffs * args.delta0, kind=f.kind)
     return f
 
 

@@ -18,10 +18,6 @@ class InvalidTruncation(ConfigError):
     pass
 
 
-class InvalidScale(ConfigError):
-    pass
-
-
 class NotMeanFree(ConfigError):
     pass
 

@@ -3,9 +3,10 @@
 A field is stored as a dense complex coefficient array over the cubic mode
 lattice ``|k_i| <= N`` with the synthesis convention
 
-    f(x) = sum_k  coeff(k) * exp(i k . x / scale),
+    f(x) = sum_k  coeff(k) * exp(i k . x),
 
-so a field with ``scale = s`` is (2 pi s)-periodic along each axis.  The
+so every field is 2 pi-periodic along each axis: it lives on the unit torus,
+and the one rescaling the construction needs happens in ``glue``.  The
 ``kind`` tag records whether the field represents a real-valued function
 (coefficients Hermitian under k -> -k) or a genuinely complex one.
 
@@ -20,13 +21,12 @@ and ``sup_grad``, pointwise evaluation, and the snapshot file format.
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.fft as sfft
 
-from .errors import ConfigError, InvalidScale, InvalidTruncation, NotMeanFree
+from .errors import ConfigError, InvalidTruncation, NotMeanFree
 
 # Safety factor applied wherever a grid-sampled sup norm feeds a smallness
 # threshold; the grid maximum itself is only a lower bound on the true sup.
@@ -58,7 +58,6 @@ class SpectralField:
 
     coeffs: np.ndarray
     kind: str = "real"
-    scale: float = 1.0
 
     def __post_init__(self):
         c = np.asarray(self.coeffs, dtype=np.complex128)
@@ -69,8 +68,6 @@ class SpectralField:
             raise InvalidTruncation(f"mode lattice must be cubic with odd side, got {c.shape[:3]}")
         if self.kind not in _KINDS:
             raise ConfigError(f"kind must be one of {_KINDS}, got {self.kind!r}")
-        if not (self.scale > 0.0 and math.isfinite(self.scale)):
-            raise InvalidScale(f"scale must be positive and finite, got {self.scale}")
         c = c.copy()
         c.flags.writeable = False
         object.__setattr__(self, "coeffs", c)
@@ -93,20 +90,18 @@ class SpectralField:
 
     def conjugate(self) -> "SpectralField":
         c = np.conj(self.coeffs[::-1, ::-1, ::-1])
-        return SpectralField(c, kind=self.kind, scale=self.scale)
+        return SpectralField(c, kind=self.kind)
 
     def _binary_check(self, other: "SpectralField"):
         if not isinstance(other, SpectralField):
             raise TypeError("expected a SpectralField")
-        if other.scale != self.scale:
-            raise InvalidScale("fields have different periodicity scales")
 
     def __add__(self, other: "SpectralField") -> "SpectralField":
         self._binary_check(other)
         n = max(self.truncation, other.truncation)
         c = _embed(self.coeffs, n) + _embed(other.coeffs, n)
         kind = "real" if self.kind == other.kind == "real" else "complex"
-        return SpectralField(c, kind=kind, scale=self.scale)
+        return SpectralField(c, kind=kind)
 
     def __sub__(self, other: "SpectralField") -> "SpectralField":
         return self + (-1.0) * other
@@ -114,7 +109,7 @@ class SpectralField:
     def __mul__(self, z) -> "SpectralField":
         z = complex(z)
         kind = self.kind if z.imag == 0.0 else "complex"
-        return SpectralField(self.coeffs * z, kind=kind, scale=self.scale)
+        return SpectralField(self.coeffs * z, kind=kind)
 
     __rmul__ = __mul__
 
@@ -148,9 +143,9 @@ def resize(f: SpectralField, n_out: int) -> SpectralField:
     if n_out == n_in:
         return f
     if n_out > n_in:
-        return SpectralField(_embed(f.coeffs, n_out), kind=f.kind, scale=f.scale)
+        return SpectralField(_embed(f.coeffs, n_out), kind=f.kind)
     lo, hi = n_in - n_out, n_in + n_out + 1
-    return SpectralField(f.coeffs[lo:hi, lo:hi, lo:hi], kind=f.kind, scale=f.scale)
+    return SpectralField(f.coeffs[lo:hi, lo:hi, lo:hi], kind=f.kind)
 
 
 def zero_field(n: int, kind: str = "real") -> SpectralField:
@@ -158,22 +153,22 @@ def zero_field(n: int, kind: str = "real") -> SpectralField:
 
 
 def const_field(v) -> SpectralField:
-    """The constant field v at truncation 0."""
+    """The constant field v at truncation 0, tagged real only when every imaginary part is exactly 0."""
     v = np.asarray(v, dtype=np.complex128)
-    kind = "real" if np.allclose(v.imag, 0.0) else "complex"
+    kind = "complex" if np.any(v.imag) else "real"
     c = np.zeros((1, 1, 1, 3), dtype=np.complex128)
     c[0, 0, 0] = v
     return SpectralField(c, kind=kind)
 
 
 @functools.lru_cache(maxsize=16)
-def wavevectors(n: int, scale: float = 1.0) -> np.ndarray:
-    """Physical wavevector grid, shape (2n+1, 2n+1, 2n+1, 3).
+def wavevectors(n: int) -> np.ndarray:
+    """Integer wavevector grid as floats, shape (2n+1, 2n+1, 2n+1, 3).
 
     Read-only and shared: every operator, residual and divergence at one
     truncation asks for the same grid.
     """
-    r = mode_range(n).astype(float) / scale
+    r = mode_range(n).astype(float)
     k1, k2, k3 = np.meshgrid(r, r, r, indexing="ij")
     kv = np.stack([k1, k2, k3], axis=-1)
     kv.flags.writeable = False
@@ -201,7 +196,7 @@ def make_abc(params: AbcParams) -> SpectralField:
     # c cos x2 e1 + c sin x2 e3  (modes (0,+-1,0))
     put((0, 1, 0), [0.5 * c, 0.0, -0.5j * c])
     put((0, -1, 0), [0.5 * c, 0.0, 0.5j * c])
-    return SpectralField(coeffs, kind="real", scale=1.0)
+    return SpectralField(coeffs, kind="real")
 
 
 def mean_vector(f: SpectralField) -> np.ndarray:
@@ -218,18 +213,18 @@ def is_hermitian(f: SpectralField) -> bool:
 def hermitize(f: SpectralField) -> SpectralField:
     """Project onto the real-field symmetry class and tag kind='real'."""
     c = 0.5 * (f.coeffs + f.conjugate().coeffs)
-    return SpectralField(c, kind="real", scale=f.scale)
+    return SpectralField(c, kind="real")
 
 
 def curl(f: SpectralField) -> SpectralField:
-    kv = wavevectors(f.truncation, f.scale)
-    return SpectralField(np.cross(1j * kv, f.coeffs), kind=f.kind, scale=f.scale)
+    kv = wavevectors(f.truncation)
+    return SpectralField(np.cross(1j * kv, f.coeffs), kind=f.kind)
 
 
 def laplacian(f: SpectralField) -> SpectralField:
-    kv = wavevectors(f.truncation, f.scale)
+    kv = wavevectors(f.truncation)
     k2 = np.sum(kv * kv, axis=-1, keepdims=True)
-    return SpectralField(-k2 * f.coeffs, kind=f.kind, scale=f.scale)
+    return SpectralField(-k2 * f.coeffs, kind=f.kind)
 
 
 def inv_laplacian(f: SpectralField) -> SpectralField:
@@ -238,17 +233,17 @@ def inv_laplacian(f: SpectralField) -> SpectralField:
     if m > 1e-12 * max(1.0, f.l2()):
         raise NotMeanFree(f"input has mean of relative size {m:.3e}")
     n = f.truncation
-    kv = wavevectors(n, f.scale)
+    kv = wavevectors(n)
     k2 = np.sum(kv * kv, axis=-1, keepdims=True)
     k2[n, n, n, 0] = 1.0  # the k = 0 row is zeroed below
     c = f.coeffs / (-k2)
     c[n, n, n] = 0.0
-    return SpectralField(c, kind=f.kind, scale=f.scale)
+    return SpectralField(c, kind=f.kind)
 
 
 def divergence_rel(f: SpectralField, shift=None) -> float:
     """Max modal magnitude of (div + i shift .) f relative to the field's l2 norm."""
-    kv = wavevectors(f.truncation, f.scale)
+    kv = wavevectors(f.truncation)
     if shift is not None:
         kv = kv + np.asarray(shift, dtype=float)
     d = np.max(np.abs(np.sum(1j * kv * f.coeffs, axis=-1)))
@@ -257,7 +252,7 @@ def divergence_rel(f: SpectralField, shift=None) -> float:
 
 def leray_project(f: SpectralField, shift=None) -> SpectralField:
     """Remove the (possibly shifted) compressible part mode by mode."""
-    kv = wavevectors(f.truncation, f.scale)
+    kv = wavevectors(f.truncation)
     if shift is not None:
         kv = kv + np.asarray(shift, dtype=float)
     k2 = np.sum(kv * kv, axis=-1, keepdims=True)
@@ -265,7 +260,7 @@ def leray_project(f: SpectralField, shift=None) -> SpectralField:
     kdotc = np.sum(kv * f.coeffs, axis=-1, keepdims=True)
     c = f.coeffs - kv * kdotc / safe
     c = np.where(k2 > 0.0, c, f.coeffs)
-    return SpectralField(c, kind=f.kind, scale=f.scale)
+    return SpectralField(c, kind=f.kind)
 
 
 # ---------------------------------------------------------------------------
@@ -293,8 +288,8 @@ def _from_grid(grid: np.ndarray, n_out: int) -> np.ndarray:
     return out
 
 
-def grid_points(f: SpectralField, m: int) -> np.ndarray:
-    x = 2.0 * np.pi * f.scale * np.arange(m) / m
+def grid_points(m: int) -> np.ndarray:
+    x = 2.0 * np.pi * np.arange(m) / m
     x1, x2, x3 = np.meshgrid(x, x, x, indexing="ij")
     return np.stack([x1, x2, x3], axis=-1)
 
@@ -315,7 +310,7 @@ def cross(f: SpectralField, g: SpectralField, cap: int | None = None) -> Spectra
     prod = np.cross(fg, gg)
     out = _from_grid(prod, n_out)
     kind = "real" if f.kind == g.kind == "real" else "complex"
-    return SpectralField(out, kind=kind, scale=f.scale)
+    return SpectralField(out, kind=kind)
 
 
 def _cross_matrix(w: np.ndarray) -> np.ndarray:
@@ -342,7 +337,7 @@ def sup_grad(f: SpectralField, oversample: int = 4) -> float:
     """Grid maximum of the pointwise spectral norm of the Jacobian (a lower
     bound on the sup), the constant of quadratic-form energy estimates."""
     m = _oversampled_m(f.truncation, oversample)
-    kv = wavevectors(f.truncation, f.scale)
+    kv = wavevectors(f.truncation)
     # pointwise Jacobian J[..., i, l] = d_l f_i on the m^3 grid
     jac = np.stack([_to_grid(1j * kv[..., l:l + 1] * f.coeffs, m) for l in range(3)], axis=-1)
     pointwise = np.linalg.norm(jac.real.reshape(-1, 3, 3), ord=2, axis=(1, 2))
@@ -366,7 +361,7 @@ def _eval_derivatives(f: SpectralField, points: np.ndarray, order: int) -> np.nd
     exp(i k.x) of the nonzero modes, formed once, times their factors (ik)^order c(k) in one product."""
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     keep = np.any(f.coeffs != 0.0, axis=-1)
-    kv, cf = wavevectors(f.truncation, f.scale)[keep], f.coeffs[keep]
+    kv, cf = wavevectors(f.truncation)[keep], f.coeffs[keep]
     if order == 0:
         factors = cf
     elif order == 1:
@@ -446,17 +441,23 @@ def save_field(f: SpectralField, path) -> None:
     """Write the self-describing snapshot: text header, then raw payload.
 
     The payload is little-endian float64 (re, im) pairs, component-major and
-    then lexicographic in k; the scale is stored as a hex float so that a
-    load/save round trip is bit exact.
+    then lexicographic in k.  The header keeps a ``scale`` line, always the
+    hex float 1, so snapshots written with one still load.
     """
-    meta = {"N": f.truncation, "kind": f.kind, "scale": float(f.scale).hex()}
+    meta = {"N": f.truncation, "kind": f.kind, "scale": (1.0).hex()}
     _write_snapshot(path, _MAGIC, meta, f.coeffs)
 
 
 def load_field(path) -> SpectralField:
+    """Read a field snapshot; a kind other than real or complex, or a scale
+    other than 1, raises ConfigError naming the path."""
     parse = {"N": int, "kind": str, "scale": float.fromhex}
     meta, coeffs = _read_snapshot(path, _MAGIC, parse, lambda m: 2 * m["N"] + 1)
-    return SpectralField(coeffs, kind=meta["kind"], scale=meta["scale"])
+    if meta["kind"] not in _KINDS:
+        raise ConfigError(f"{path}: kind must be one of {_KINDS}, got {meta['kind']!r}")
+    if meta["scale"] != 1.0:
+        raise ConfigError(f"{path}: fields live on the unit torus, but the snapshot has scale {meta['scale']}")
+    return SpectralField(coeffs, kind=meta["kind"])
 
 
 # ---------------------------------------------------------------------------
@@ -467,17 +468,16 @@ def random_real_field(
     rng: np.random.Generator,
     mean_free: bool = True,
     div_free: bool = False,
-    scale: float = 1.0,
     amplitude: float = 1.0,
 ) -> SpectralField:
     """Random real-kind field with unit-order coefficients, for probes."""
     shape = (2 * n + 1,) * 3 + (3,)
     raw = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-    f = hermitize(SpectralField(raw * amplitude, kind="complex", scale=scale))
+    f = hermitize(SpectralField(raw * amplitude, kind="complex"))
     c = np.array(f.coeffs)
     if mean_free:
         c[n, n, n] = 0.0
-    f = SpectralField(c, kind="real", scale=scale)
+    f = SpectralField(c, kind="real")
     if div_free:
         f = leray_project(f)
     return f

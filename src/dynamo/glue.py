@@ -1,14 +1,17 @@
 """Compactly supported patchwork velocities glued from rescaled stream fields.
 
 A catalog places countably many disjoint blocks in space.  Block (n, l)
-carries the rescaled stream field at shrink step n under a radial cutoff
-whose plateau covers the concentration region of a translated wave-packet
-datum.  All geometric budgets tighten exponentially in (n, l) through a
-single separation constant, so radii and ramp widths grow far beyond any
-grid; the module therefore keeps geometry symbolic: centers are exact
-integer multiples of each block's stream period, tails go through a
-calibrated inverse-radius law, and field evaluation happens in block-local
-coordinates where the periodic reduction is exact.
+carries the rescaled stream psi_n(x) = zeta^n psi(x / zeta^{n/2}) under a
+radial cutoff whose plateau covers the concentration region of a
+translated wave-packet datum.  This module owns that one rescaling: every
+field, psi included, lives on the unit torus, and block n evaluates the
+unit-torus field zeta^n psi at x / zeta^{n/2}.  All geometric budgets
+tighten exponentially in (n, l) through a single separation constant, so
+radii and ramp widths grow far beyond any grid; the module therefore keeps
+geometry symbolic: centers are exact integer multiples of each block's
+stream period, tails go through a calibrated inverse-radius law, and field
+evaluation happens in block-local coordinates where the periodic
+reduction is exact.
 """
 
 from __future__ import annotations
@@ -89,13 +92,13 @@ class TailModel:
             raise ConfigError("calibration range must start at a positive finite radius")
 
     def tail_fraction(self, radius: float) -> float:
-        if radius <= 0.0:
+        if not radius > 0.0:
             raise ConfigError("tail fraction needs a positive radius")
         return min(1.0, self.coefficient / radius)
 
     def radius_for(self, tail_target: float) -> float:
         """Smallest modeled radius whose tail fraction is below the target."""
-        if tail_target <= 0.0:
+        if not tail_target > 0.0:
             raise ConfigError("tail target must be positive")
         return self.coefficient / tail_target
 
@@ -111,7 +114,7 @@ def calibrate_tail_model(band, r_lo: float, r_hi: float) -> TailModel:
         raise ConfigError("need 0 < r_lo < r_hi for tail calibration")
     radii = np.geomspace(r_lo, r_hi, 12)
     total = band.total_mass()
-    if total <= 0.0:
+    if not total > 0.0:
         raise ConfigError("cannot calibrate the tail of a zero datum")
     deficits = 1.0 - np.asarray(band.box_mass(radii)) / total
     if np.any(deficits <= 0.0):
@@ -212,7 +215,7 @@ class CutoffSpec:
         """
         if budget <= 0.0 or not np.isfinite(budget):
             raise ConfigError("derivative budget must be positive and finite")
-        if plateau <= 0.0:
+        if not plateau > 0.0:
             raise ConfigError("plateau radius must be positive")
         b = _GRAD_PEAK * (1.0 + 1.0 / plateau)
         # conjugate form of the positive quadratic root: stable when the
@@ -253,11 +256,11 @@ class Block:
         object.__setattr__(self, "quanta", tuple(int(q) for q in self.quanta))
         if self.period <= 0.0 or not np.isfinite(self.period):
             raise ConfigError("stream period must be positive and finite")
-        if self.radius < 1.0:
+        if not self.radius >= 1.0:
             raise ConfigError("concentration radius must be >= 1")
-        if self.plateau < 2.0 * self.radius * (1.0 - 1e-12):
+        if not self.plateau >= 2.0 * self.radius * (1.0 - 1e-12):
             raise ConfigError("plateau ball must cover twice the concentration radius")
-        if self.outer <= self.plateau:
+        if not self.outer > self.plateau:
             raise ConfigError("support radius must exceed the plateau radius")
 
     @property
@@ -278,10 +281,10 @@ def _required_center_distance(a: Block, b: Block) -> float:
 class BlockCatalog:
     """A finite family of disjoint blocks over one base stream field.
 
-    The stream is the base-cell vector potential (curl stream = velocity);
-    step n uses coefficients scaled by zeta^n on period scale zeta^{n/2},
-    which shrinks the velocity amplitude like zeta^{n/2} while leaving its
-    gradient magnitude invariant.
+    The stream is the unit-torus vector potential psi (curl psi = U).
+    Step n uses psi_n(x) = zeta^n psi(x/s) with s = zeta^{n/2}, whose
+    velocity s U(x/s) shrinks like s while its gradient (grad U)(x/s)
+    keeps its sup.
     """
 
     stream: df.SpectralField
@@ -293,8 +296,6 @@ class BlockCatalog:
     def __post_init__(self):
         if not isinstance(self.stream, df.SpectralField) or self.stream.kind != "real":
             raise ConfigError("catalog stream must be a real spectral field")
-        if abs(self.stream.scale - 1.0) > 1e-12:
-            raise ConfigError("catalog stream must live on the unit cell")
         if not (0.5 < self.zeta < 1.0):
             raise ConfigError(f"shrink ratio must lie in (1/2, 1), got {self.zeta}")
         if self.ufrak <= 0.0 or not np.isfinite(self.ufrak):
@@ -313,14 +314,6 @@ class BlockCatalog:
                     raise ConfigError(
                         f"blocks ({a.n},{a.ell}) and ({b.n},{b.ell}) violate separation"
                     )
-
-    def stream_for(self, n: int) -> df.SpectralField:
-        fac = self.zeta**n
-        return df.SpectralField(
-            self.stream.coeffs * fac,
-            kind="real",
-            scale=self.stream.scale * self.zeta ** (n / 2.0),
-        )
 
     def budget(self, block: Block) -> float:
         return block_budget(self.ufrak, block.n, block.ell)
@@ -436,23 +429,28 @@ class GluedEvaluation:
 
 
 def _local_fields(
-    stream_n: df.SpectralField,
-    plateau: float,
-    outer: float,
+    catalog: BlockCatalog,
+    blk: Block,
     offsets: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """u = curl(psi phi) and its Jacobian at block-local offsets.
+    """u = curl(psi_n phi) and its Jacobian at block-local offsets.
 
-    Product rule: u = phi U + grad(phi) x psi with U = curl psi, and
-    d_m u = phi d_m U + U d_m(phi) + (d_m grad phi) x psi + grad(phi) x d_m psi.
+    psi_n(x) = zeta^n psi(x/s) with s = zeta^{n/2}: the unit-torus field
+    zeta^n psi and its curl are evaluated at x/s, and each derivative order
+    brings one factor 1/s.  Product rule: u = phi U + grad(phi) x psi_n
+    with U = curl psi_n, and
+    d_m u = phi d_m U + U d_m(phi) + (d_m grad phi) x psi_n + grad(phi) x d_m psi_n.
     """
-    flow_n = df.curl(stream_n)
-    psi = df.eval_at_points(stream_n, offsets).real
-    uval = df.eval_at_points(flow_n, offsets).real
-    jpsi = df.eval_jacobian_at_points(stream_n, offsets).real
-    ju = df.eval_jacobian_at_points(flow_n, offsets).real
+    s = catalog.zeta ** (blk.n / 2.0)
+    stream = catalog.zeta**blk.n * catalog.stream
+    flow = df.curl(stream)
+    unit = offsets / s
+    psi = df.eval_at_points(stream, unit).real
+    uval = df.eval_at_points(flow, unit).real / s
+    jpsi = df.eval_jacobian_at_points(stream, unit).real / s
+    ju = df.eval_jacobian_at_points(flow, unit).real / s**2
 
-    cut = CutoffSpec(np.zeros(3), plateau, outer)
+    cut = CutoffSpec(np.zeros(3), blk.plateau, blk.outer)
     phi, dphi, hphi = cut.derivatives(offsets)
 
     u = phi[:, None] * uval + np.cross(dphi, psi)
@@ -483,9 +481,7 @@ def evaluate_velocity(catalog: BlockCatalog, points: np.ndarray) -> GluedEvaluat
         if np.any(owner[mask] >= 0):
             raise SolverFailure("a point lies in two supports; catalog is corrupt")
         owner[mask] = idx
-        u[mask], grad[mask] = _local_fields(
-            catalog.stream_for(blk.n), blk.plateau, blk.outer, pts[mask] - blk.center
-        )
+        u[mask], grad[mask] = _local_fields(catalog, blk, pts[mask] - blk.center)
     return GluedEvaluation(points=pts, velocity=u, gradient=grad, block_index=owner)
 
 
@@ -503,7 +499,7 @@ def evaluate_block(
         raise ConfigError(f"no block with index {index}")
     blk = catalog.blocks[index]
     off = np.atleast_2d(np.asarray(offsets, dtype=float))
-    u, grad = _local_fields(catalog.stream_for(blk.n), blk.plateau, blk.outer, off)
+    u, grad = _local_fields(catalog, blk, off)
     owner = np.where(np.linalg.norm(off, axis=1) < blk.outer, index, -1)
     return GluedEvaluation(points=off, velocity=u, gradient=grad, block_index=owner)
 
@@ -512,8 +508,8 @@ def sampled_divergence(
     catalog: BlockCatalog, index: int, offsets: np.ndarray, h: float
 ) -> np.ndarray:
     """Central-difference divergence of the glued field at block-local offsets."""
-    if h <= 0.0:
-        raise ConfigError("finite-difference step must be positive")
+    if not (h > 0.0 and math.isfinite(h)):
+        raise ConfigError(f"finite-difference step must be positive and finite, got {h}")
     off = np.atleast_2d(np.asarray(offsets, dtype=float))
     div = np.zeros(off.shape[0])
     for m in range(3):
@@ -641,7 +637,7 @@ def _w2_components(f: df.SpectralField, oversample: int = 4) -> tuple[float, flo
     s0 = df.sup_value(f, oversample)
     s1 = df.sup_grad(f, oversample)
     m = df._oversampled_m(f.truncation, oversample)
-    pts = df.grid_points(f, m).reshape(-1, 3)
+    pts = df.grid_points(m).reshape(-1, 3)
     hess = df.eval_hessian_at_points(f, pts).real
     s2 = float(np.max(np.linalg.norm(hess, ord=2, axis=(2, 3))))
     return s0, s1, s2
@@ -677,7 +673,9 @@ def _solenoidality_rows(catalog: BlockCatalog, n: int) -> list[CheckRow]:
     order = coarse / max(halved, 1e-300)
     plateau_pts = offsets[: len(dirs)]
     exact = evaluate_block(rep_cat, 0, plateau_pts).velocity
-    flow = df.eval_at_points(df.curl(catalog.stream_for(n)), plateau_pts).real
+    # the scale-n velocity s U(x/s) written out, s = zeta^{n/2}
+    s = catalog.zeta ** (n / 2.0)
+    flow = df.eval_at_points(df.curl(catalog.zeta**n * catalog.stream), plateau_pts / s).real / s
     plateau_defect = float(np.max(np.abs(exact - flow)))
     return [
         CheckRow(f"solenoidality scale {n}", "upper", fine / scale, 1e-8),

@@ -95,15 +95,13 @@ class ModalOperatorSpec:
             raise ConfigError(f"diffusivity must be positive, got {self.eps}")
         if self.truncation < self.flow.truncation:
             raise ConfigError("operator truncation cannot be smaller than the flow's support")
-        if self.flow.scale != 1.0:
-            raise ConfigError("modal analysis expects a flow on the unit-scale lattice")
         with np.errstate(over="ignore"):
             size = self.flow.l2()
         if not math.isfinite(size):
             raise ConfigError(f"flow coefficients too large or not finite: their l2 norm is {size}")
         if np.linalg.norm(df.mean_vector(self.flow)) > 1e-12 * max(1.0, size):
             raise ConfigError("flow must be mean-free")
-        if df.divergence_rel(self.flow) > 1e-10:
+        if not df.divergence_rel(self.flow) <= 1e-10:
             raise ConfigError("flow must be divergence-free")
 
     @property

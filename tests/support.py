@@ -52,7 +52,7 @@ def convolve_oracle(f: df.SpectralField, g: df.SpectralField) -> df.SpectralFiel
                         for j3 in rng_g:
                             cg = g.coeffs[j1 + ng, j2 + ng, j3 + ng]
                             out[i1 + j1 + n_out, i2 + j2 + n_out, i3 + j3 + n_out] += np.cross(cf, cg)
-    return df.SpectralField(out, kind="complex", scale=f.scale)
+    return df.SpectralField(out, kind="complex")
 
 
 def cell_data(flow: df.SpectralField, v) -> df.SpectralField:

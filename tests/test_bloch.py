@@ -118,8 +118,9 @@ class TestBlochFamily:
 
     def test_nodes_must_stay_inside_cell(self, rng):
         g = df.random_complex_field(1, rng=rng)
-        with pytest.raises(ConfigError):
-            bloch.BlochFamily(np.array([[np.pi, 0.0, 0.0]]), np.ones(1), [g])
+        for bad in (np.pi, math.nan):
+            with pytest.raises(ConfigError, match="fundamental cell"):
+                bloch.BlochFamily(np.array([[bad, 0.0, 0.0]]), np.ones(1), [g])
 
     def test_mixed_truncations_rejected(self, rng):
         g1 = df.random_complex_field(1, rng=rng)
@@ -360,6 +361,11 @@ class TestBoxMass:
         monkeypatch.setattr(bloch, "_dirichlet", lambda s, r: -dirichlet(s, r))
         with pytest.raises(SolverFailure, match="negative"):
             fam.box_mass([1.0, 4.0, 16.0])
+
+    def test_non_finite_mass_raises(self):
+        # 2R overflows at R = 1e308, and the NaN mass passes the sign and growth gates
+        with pytest.raises(SolverFailure, match="not finite"):
+            _small_datum().box_mass([1.0, 1e308])
 
     def test_decreasing_mass_raises(self, monkeypatch):
         # dividing every axis factor by R^2 keeps the form positive but

@@ -293,6 +293,16 @@ class TestBloch:
         assert manifest is None
         assert not (out / "volume.vol").exists()
 
+    def test_non_finite_box_mass_exits_3(self, tmp_path):
+        # 2R overflows in the Dirichlet factors at the largest radius
+        code, out, manifest = run(
+            ["bloch", "parseval", "--abc", "0.3,0.3,0.3", "--j-star", "0,0,0.1",
+             "--half-width", "0.05", "--nodes-per-axis", "2", "--truncation", "1",
+             "--r-max", "1e308"], tmp_path)
+        assert code == 3
+        assert "box mass is not finite" in manifest["error"]
+        assert not (out / "parseval.csv").exists()
+
     def test_synth_writes_volume(self, tmp_path):
         code, out, manifest = run(
             ["bloch", "synth", "--abc", "1,1,1", "--delta0", "0.3",
@@ -361,6 +371,18 @@ class TestGlue:
              "--ufrak", "10", "--n-max", "1", "--ell-max", "1"], tmp_path)
         assert code == 2
         assert not (out / "catalog.txt").exists()
+
+    def test_nan_block_radius_exits_2(self, tmp_path, capsys):
+        path = _one_block_catalog(tmp_path)
+        lines = path.read_text().splitlines()
+        fields = lines[7].split()
+        fields[5] = "nan"
+        lines[7] = " ".join(fields)
+        path.write_text("\n".join(lines) + "\n")
+        code, _, manifest = run(["glue", "check", "--catalog", str(path)], tmp_path)
+        assert code == 2
+        assert manifest is None
+        assert "concentration radius must be >= 1" in capsys.readouterr().err
 
     def test_failing_checks_still_exit_0(self, tmp_path):
         code, out, _ = run(

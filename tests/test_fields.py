@@ -5,8 +5,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from dynamo import fields as df
-from dynamo import glue
-from dynamo.errors import ConfigError, InvalidScale, NotMeanFree
+from dynamo.errors import ConfigError, NotMeanFree
 from support import convolve_oracle
 
 
@@ -35,7 +34,7 @@ class TestMakeAbc:
         u = abc(a, b, c)
         m = 16
         vals = df._to_grid(u.coeffs, m)
-        x = df.grid_points(u, m)
+        x = df.grid_points(m)
         x1, x2, x3 = x[..., 0], x[..., 1], x[..., 2]
         expect = np.stack(
             [
@@ -164,12 +163,6 @@ class TestCross:
         f = df.random_real_field(2, rng)
         assert df.cross(f, f).l2() < 1e-13 * f.l2() ** 2
 
-    def test_scale_mismatch_rejected(self, rng):
-        f = df.random_real_field(1, rng)
-        g = df.random_real_field(1, rng, scale=2.0)
-        with pytest.raises(InvalidScale):
-            df.cross(f, g)
-
     @settings(max_examples=20, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1))
     def test_bilinearity(self, seed):
@@ -192,41 +185,11 @@ class TestCross:
         assert df.is_hermitian(w)
 
 
-class TestRescale:
-    """Step n of a catalog scales the stream's coefficients by zeta^n on period scale zeta^(n/2)."""
-
-    @staticmethod
-    def _catalog(zeta):
-        tail = glue.TailModel(coefficient=5.0, valid_from=1.0)
-        return glue.plan_catalog(abc(1.0, 2.0, 3.0), tail, zeta=zeta, ufrak=0.5, n_max=1, ell_max=1)
-
-    def test_amplitude_and_scale(self):
-        zeta, n = 0.9, 3
-        cat = self._catalog(zeta)
-        v = cat.stream_for(n)
-        assert np.array_equal(v.coeffs, cat.stream.coeffs * zeta**n)
-        assert v.scale == pytest.approx(zeta ** 1.5)
-        assert_allclose(v.l2(), cat.stream.l2() * zeta**n, rtol=1e-14)
-
-    def test_gradient_sup_invariant(self):
-        # the velocity curl(stream) keeps its sup |grad| at every step, the
-        # invariance the paper's rescaling relies on
-        cat = self._catalog(0.8)
-        base = df.sup_grad(df.curl(cat.stream))
-        assert_allclose(df.sup_grad(df.curl(cat.stream_for(2))), base, rtol=1e-12)
-
-    def test_identity_at_n0(self):
-        cat = self._catalog(0.9)
-        v = cat.stream_for(0)
-        assert_allclose(v.coeffs, cat.stream.coeffs)
-        assert v.scale == 1.0
-
-
 class TestEvaluation:
     def test_matches_grid_synthesis(self, rng):
         f = df.random_real_field(2, rng)
         m = 6
-        pts = df.grid_points(f, m).reshape(-1, 3)
+        pts = df.grid_points(m).reshape(-1, 3)
         direct = df.eval_at_points(f, pts).reshape(m, m, m, 3)
         assert_allclose(direct, df._to_grid(f.coeffs, m), atol=1e-12 * f.l2())
 
@@ -250,7 +213,7 @@ class TestEvaluation:
     @staticmethod
     def per_derivative_sums(f, pts):
         """Values, Jacobians and Hessians as one product of the phases per derivative (the reference)."""
-        kv = df.wavevectors(f.truncation, f.scale).reshape(-1, 3)
+        kv = df.wavevectors(f.truncation).reshape(-1, 3)
         cf = f.coeffs.reshape(-1, 3)
         keep = np.any(cf != 0.0, axis=1)
         kv, cf = kv[keep], cf[keep]
@@ -268,7 +231,7 @@ class TestEvaluation:
         if which == "abc":
             f = abc(1.0, 0.9, 1.1)
         else:
-            f = df.random_real_field(2, rng, scale=0.8)
+            f = df.random_real_field(2, rng)
             assert np.count_nonzero(np.any(f.coeffs != 0.0, axis=-1)) == 124
         pts = rng.uniform(-10.0, 10.0, size=(40, 3))
         got = (df.eval_at_points(f, pts), df.eval_jacobian_at_points(f, pts), df.eval_hessian_at_points(f, pts))
@@ -288,19 +251,18 @@ class TestEvaluation:
 
 class TestSnapshot:
     def test_bit_exact_roundtrip(self, tmp_path, rng):
-        f = df.SpectralField(df.random_complex_field(2, rng).coeffs, kind="complex", scale=0.9 ** 1.5)
+        f = df.random_complex_field(2, rng)
         p = tmp_path / "field.snap"
         df.save_field(f, p)
         g = df.load_field(p)
         assert g.kind == f.kind
-        assert g.scale == f.scale  # bit exact via hex float
         assert np.array_equal(g.coeffs, f.coeffs)
 
     def test_header_is_text(self, tmp_path):
         p = tmp_path / "abc.snap"
         df.save_field(abc(), p)
         head = p.read_bytes()[:64].decode("ascii", errors="replace")
-        assert head.startswith("spectral-field 1\nN 1\nkind real\nscale ")
+        assert head.startswith("spectral-field 1\nN 1\nkind real\nscale 0x1.0000000000000p+0\n")
 
     def test_payload_order_component_major(self, tmp_path):
         f = abc(1.0, 0.0, 0.0)
@@ -314,9 +276,9 @@ class TestSnapshot:
         assert_allclose(comp0[12], [0.0, 0.5])  # i/2
 
     @pytest.mark.parametrize("old, new", [(None, None), (b"scale 0x1.0000000000000p+0\n", b""),
-                                          (b"N 1\n", b"N x\n"),
+                                          (b"N 1\n", b"N x\n"), (b"kind real\n", b"kind banana\n"),
                                           (b"data\n" + bytes(8), b"data\n" + np.array(np.nan, "<f8").tobytes())],
-                             ids=["missing-file", "missing-key", "non-integer-size", "nan-payload"])
+                             ids=["missing-file", "missing-key", "non-integer-size", "bad-kind", "nan-payload"])
     def test_unreadable_or_malformed_snapshot_names_the_path(self, tmp_path, old, new):
         p = tmp_path / "abc.snap"
         if old is not None:
@@ -324,6 +286,15 @@ class TestSnapshot:
             p.write_bytes(p.read_bytes().replace(old, new, 1))
         with pytest.raises(ConfigError, match="abc.snap"):
             df.load_field(p)
+
+    def test_non_unit_scale_rejected(self, tmp_path):
+        # fields live on the unit torus; a snapshot of a rescaled field is refused, not read at scale 1
+        for scale in (b"0x1.8000000000000p+0", b"nan"):
+            p = tmp_path / "abc.snap"
+            df.save_field(abc(), p)
+            p.write_bytes(p.read_bytes().replace(b"scale 0x1.0000000000000p+0\n", b"scale " + scale + b"\n", 1))
+            with pytest.raises(ConfigError, match="abc.snap"):
+                df.load_field(p)
 
     def test_reject_garbage(self, tmp_path):
         p = tmp_path / "bad.snap"
@@ -348,15 +319,23 @@ class TestAlgebra:
     @pytest.mark.parametrize("kind", ["real", "complex"])
     def test_hermitize_averages_with_the_mirror(self, rng, kind):
         make = df.random_real_field if kind == "real" else df.random_complex_field
-        f = df.SpectralField(make(2, rng).coeffs, kind=kind, scale=0.8)
+        f = make(2, rng)
         assert df.is_hermitian(f) == (kind == "real")
         h = df.hermitize(f)
-        assert h.kind == "real" and h.scale == 0.8
+        assert h.kind == "real"
         assert np.array_equal(h.coeffs, 0.5 * (f.coeffs + f.conjugate().coeffs))
         assert df.is_hermitian(h)
         c = np.array(h.coeffs)
         c[3, 1, 2, 0] += 1e-6
-        assert not df.is_hermitian(df.SpectralField(c, scale=0.8))
+        assert not df.is_hermitian(df.SpectralField(c))
+
+    @pytest.mark.parametrize("v, kind", [([1.0, 0.0, -2.0], "real"), ([1.0, 1e-9j, 0.0], "complex")],
+                             ids=["real", "tiny-imaginary-part"])
+    def test_const_field_is_real_only_without_imaginary_parts(self, v, kind):
+        # a tiny imaginary part is still complex: a "real" tag would drop it in sup_value and save_field
+        f = df.const_field(v)
+        assert f.kind == kind
+        assert df.is_hermitian(f) == (kind == "real")
 
     def test_immutability(self):
         u = abc()

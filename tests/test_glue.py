@@ -201,6 +201,9 @@ class TestBlockValidation:
             dict(ok, radius=0.5),
             dict(ok, plateau=3.0),
             dict(ok, outer=4.0),
+            dict(ok, radius=np.nan),
+            dict(ok, plateau=np.nan),
+            dict(ok, outer=np.nan),
         ):
             with pytest.raises(ConfigError):
                 glue.Block(**bad)
@@ -269,18 +272,6 @@ class TestPlanCatalog:
                 tail=cat.tail, blocks=(cat.blocks[0], shifted),
             )
 
-    def test_scaled_stream_matches_rescaled_flow(self):
-        cat = _moderate_catalog()
-        for n in (1, 2):
-            direct = df.curl(cat.stream_for(n))
-            # the velocity rescaled directly: zeta^(n/2) curl(stream)(x / zeta^(n/2))
-            f = cat.zeta ** (n / 2.0)
-            oracle = df.SpectralField(df.curl(cat.stream).coeffs * f, scale=f)
-            assert direct.scale == pytest.approx(oracle.scale)
-            np.testing.assert_allclose(
-                direct.coeffs, oracle.coeffs, rtol=0, atol=1e-15
-            )
-
 
 class TestEvaluate:
     def test_plateau_reproduces_scaled_flow_exactly(self):
@@ -293,13 +284,27 @@ class TestEvaluate:
         ])
         pts = blk.center + offsets
         ev = glue.evaluate_velocity(cat, pts)
-        flow = df.eval_at_points(df.curl(cat.stream_for(blk.n)), pts - blk.center).real
-        jac = df.eval_jacobian_at_points(
-            df.curl(cat.stream_for(blk.n)), pts - blk.center
-        ).real
+        s = cat.zeta ** (blk.n / 2.0)
+        scaled = df.curl(cat.zeta**blk.n * cat.stream)
+        flow = df.eval_at_points(scaled, (pts - blk.center) / s).real / s
+        jac = df.eval_jacobian_at_points(scaled, (pts - blk.center) / s).real / s**2
         np.testing.assert_array_equal(ev.velocity, flow)
         np.testing.assert_array_equal(ev.gradient, jac)
         assert np.all(ev.block_index == idx)
+
+    def test_plateau_velocity_is_the_rescaled_flow(self):
+        # psi_n(x) = zeta^n psi(x/s) with s = zeta^(n/2) has velocity s U(x/s) and
+        # gradient (grad U)(x/s), U = curl psi: sup |grad u| is the same at every step
+        cat = _moderate_catalog()
+        unit_flow = df.curl(cat.stream)
+        dirs = np.array([[0.0, 0.0, 0.0], [1.0, 2.0, -3.0], [-0.4, 0.3, 0.8]])
+        for idx, blk in enumerate(cat.blocks):
+            s = cat.zeta ** (blk.n / 2.0)
+            offsets = 0.25 * blk.plateau * dirs / np.linalg.norm(dirs[1])
+            ev = glue.evaluate_block(cat, idx, offsets)
+            np.testing.assert_allclose(ev.velocity, s * df.eval_at_points(unit_flow, offsets / s).real, rtol=1e-12)
+            np.testing.assert_allclose(ev.gradient, df.eval_jacobian_at_points(unit_flow, offsets / s).real,
+                                       rtol=1e-12)
 
     def test_zero_outside_all_supports(self):
         cat = _moderate_catalog()
@@ -379,6 +384,19 @@ class TestEvaluate:
                 points=good.points, velocity=good.velocity[:1],
                 gradient=good.gradient, block_index=good.block_index,
             )
+
+
+@pytest.mark.parametrize("call", [
+    lambda: glue.TailModel(coefficient=3.0, valid_from=1.0).tail_fraction(np.nan),
+    lambda: glue.TailModel(coefficient=3.0, valid_from=1.0).radius_for(np.nan),
+    lambda: glue.sampled_divergence(_moderate_catalog(), 0, np.zeros((1, 3)), np.nan),
+    lambda: glue.sampled_divergence(_moderate_catalog(), 0, np.zeros((1, 3)), np.inf),
+    lambda: glue.CutoffSpec.ramp_width_for_budget(np.nan, 1.0),
+], ids=["tail-fraction", "radius-for", "divergence-step-nan", "divergence-step-inf", "ramp-plateau"])
+def test_nan_argument_is_a_config_error(call):
+    # each guard is written so that a NaN fails it
+    with pytest.raises(ConfigError):
+        call()
 
 
 class TestDatum:

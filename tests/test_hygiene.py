@@ -92,6 +92,60 @@ def test_no_nan_dropping_reduction(path):
     assert not found, f"builtin max/min drops a NaN element (use np.max/np.min): {', '.join(found)}"
 
 
+def nan_passing_guards(tree: ast.Module) -> list[ast.If]:
+    """An ``if`` that raises ConfigError on an ordered comparison with a float literal.
+
+    A NaN fails every ordered comparison, so ``if x <= 0.0: raise`` lets it
+    through; ``if not x > 0.0`` does not.  The test itself, or any term of
+    its ``or`` chain, is checked; a chain that also holds a
+    ``not ...isfinite(...)`` term rejects NaN and is not flagged.
+    Comparisons without a literal are out of reach.
+    """
+    def raises_config_error(stmt):
+        return (isinstance(stmt, ast.Raise) and isinstance(stmt.exc, ast.Call)
+                and isinstance(stmt.exc.func, ast.Name) and stmt.exc.func.id == "ConfigError")
+
+    def float_comparison(term):
+        return (isinstance(term, ast.Compare) and all(isinstance(op, (ast.Lt, ast.LtE, ast.Gt, ast.GtE)) for op in term.ops)
+                and any(isinstance(x, ast.Constant) and isinstance(x.value, float) for x in [term.left, *term.comparators]))
+
+    def not_isfinite(term):
+        return (isinstance(term, ast.UnaryOp) and isinstance(term.op, ast.Not) and isinstance(term.operand, ast.Call)
+                and getattr(term.operand.func, "attr", getattr(term.operand.func, "id", None)) == "isfinite")
+
+    found = []
+    for node in ast.walk(tree):
+        if not (isinstance(node, ast.If) and any(raises_config_error(stmt) for stmt in node.body)):
+            continue
+        terms = node.test.values if isinstance(node.test, ast.BoolOp) and isinstance(node.test.op, ast.Or) else [node.test]
+        if any(map(float_comparison, terms)) and not any(map(not_isfinite, terms)):
+            found.append(node)
+    return sorted(found, key=lambda node: node.lineno)
+
+
+def test_nan_passing_guard_rule():
+    flagged = ["if x <= 0.0:\n    raise ConfigError('x')",
+               "if n < 1 or tol > 1e-3:\n    raise ConfigError('tol')",
+               "if 0.5 >= z:\n    raise ConfigError('z')"]
+    kept = ["if not x > 0.0:\n    raise ConfigError('x')",
+            "if x <= 0.0 or not np.isfinite(x):\n    raise ConfigError('x')",
+            "if not (0.0 < x < 1.0):\n    raise ConfigError('x')",
+            "if n < 1:\n    raise ConfigError('n')",
+            "if x <= 0.0:\n    raise SolverFailure('x')",
+            "if x <= 0.0 and y:\n    raise ConfigError('x')"]
+    for src in flagged:
+        assert len(nan_passing_guards(ast.parse(src))) == 1, src
+    for src in kept:
+        assert not nan_passing_guards(ast.parse(src)), src
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.stem)
+def test_no_nan_passing_guard(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    found = [f"{path.name}:{node.lineno} {ast.unparse(node.test)}" for node in nan_passing_guards(tree)]
+    assert not found, f"a NaN passes these ConfigError guards (write them as `not x > 0.0`): {', '.join(found)}"
+
+
 # Public names with no reader outside the tests, kept in src on purpose.
 REFERENCE_ORACLES = {
     "abc_closed_form": "the closed-form first-order ABC eigenvalues the alpha matrix is checked against",
