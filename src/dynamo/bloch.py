@@ -161,7 +161,7 @@ class BlochFamily:
             taken[i] = taken[k] = True
             mirror = self.fields[i].conjugate().coeffs
             scale_ref = np.max(np.abs(mirror)) + 1e-300
-            if np.max(np.abs(self.fields[k].coeffs - mirror)) > 1e-10 * scale_ref:
+            if not np.max(np.abs(self.fields[k].coeffs - mirror)) <= 1e-10 * scale_ref:
                 raise ConfigError(f"fields at nodes {i} and {k} are not conjugate mirrors")
             if self.exponents is not None:
                 if not abs(self.exponents[k] - np.conj(self.exponents[i])) <= 1e-8:

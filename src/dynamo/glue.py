@@ -114,6 +114,8 @@ def calibrate_tail_model(band, r_lo: float, r_hi: float) -> TailModel:
         raise ConfigError("need 0 < r_lo < r_hi for tail calibration")
     radii = np.geomspace(r_lo, r_hi, 12)
     total = band.total_mass()
+    if not math.isfinite(total):
+        raise SolverFailure(f"the datum's total mass is {total}")
     if not total > 0.0:
         raise ConfigError("cannot calibrate the tail of a zero datum")
     deficits = 1.0 - np.asarray(band.box_mass(radii)) / total

@@ -24,8 +24,8 @@ for oracles only and no production path calls it.  On top
 sit the eigensolver, shift-invert Arnoldi on a sparse LU of the stencil
 (ARPACK for one operator; for the nodes of a band box, ARPACK's first
 Arnoldi build run at every node in lockstep on one block-diagonal LU),
-contour (Riesz) projectors with certified idempotency, an
-argument-principle eigenvalue count, first-order perturbation checks,
+contour (Riesz) projectors with certified idempotency, a Rayleigh-Ritz
+eigenvalue count on a contour-filtered block, first-order perturbation checks,
 continuation of an eigenpair in eps, and the quantitative projector
 comparison bound used to certify rank stability.
 
@@ -35,9 +35,7 @@ node doublings, repeated contour sums and shared eps grid points, with a
 condition estimate that catches nodes too close to the spectrum.  SuperLU's
 fill-reducing ordering is computed once per stencil structure; each mu then
 costs a fill of the values into the structure's permuted layout, mu added
-on its diagonal slots, and a numeric LU in that fixed order.  An
-eigenvalue count reads each node's determinant phase once and releases that
-node's factor, so it runs after the solves on the same nodes.  The
+on its diagonal slots, and a numeric LU in that fixed order.  The
 comparison bound takes 2-norms by Lanczos on the same factors: exact ones
 for the resolvent and the projector distance, and for the perturbation's
 smallness a short Lanczos screen at every node that leaves the exact norm
@@ -71,7 +69,7 @@ from .errors import (
 )
 
 DENSE_CAP = 8000  # largest flat dimension for which dense paths are allowed
-MAX_NODES = 256  # most quadrature nodes a projector or an eigenvalue count doubles to
+MAX_NODES = 256  # most quadrature nodes a projector doubles to
 BOX_BYTES = 1 << 21  # Krylov basis bytes one chunk of leading_eigs_box holds
 SCREEN_STEPS = 30  # Lanczos steps of the screen ahead of the bound's exact weighted norms
 SCREEN_RATIO = 0.8  # a node is screened out below this fraction of the largest exact squared norm
@@ -586,10 +584,6 @@ class _Resolvent:
     the quadrature nodes' condition gate and keeps each node's factor.  The
     trapezoid nodes of n points are bitwise the even nodes of 2n points, so
     a contour whose node count doubles reuses every factor made so far.
-    ``phase`` reads a node's determinant phase once, keeps that number and
-    releases the node's factor: reading U makes SuperLU build and keep CSC
-    copies of L and U, so a kept factor would hold them for as long as it
-    lives.  Callers therefore count after their solves on the same nodes.
     The cell solve in alpha factors it at j = 0 with one value per unknown.
     """
 
@@ -608,7 +602,6 @@ class _Resolvent:
         self.matrix = self.matrices[0]
         self._layout = layout if len(specs) == 1 else layout.tiled(len(specs))
         self._lus: dict[complex, _NodeFactor] = {}
-        self._phases: dict[complex, float] = {}
 
     def factor(self, mu) -> tuple[_NodeFactor, np.ndarray]:
         """Sparse LU of mu I - L, and its values in the structure's layout; an array mu is diag(mu)."""
@@ -635,22 +628,6 @@ class _Resolvent:
             self._lus[mu] = lu
         return self._lus[mu]
 
-    def phase(self, mu: complex) -> float:
-        """Phase of det(mu I - L) / det(mu I - D) at a node, D the diagonal of L; releases the node's factor.
-
-        With Pr A Pc = L U the sparse LU of A = P^T (mu I - L) P, whose
-        determinant is det(mu I - L), the phase is
-        sum arg diag(U) + pi (parity(Pr) + parity(Pc)).  The factor comes
-        from ``lu``, so the condition gate holds; a later solve at this node
-        factors it anew.
-        """
-        if mu not in self._phases:
-            lu = self.lu(mu).superlu
-            self._phases[mu] = (np.sum(np.angle(lu.U.diagonal())) - np.sum(np.angle(mu - self.matrix.diagonal()))
-                                + np.pi * (_parity(lu.perm_r) + _parity(lu.perm_c)))
-            del self._lus[mu]
-        return self._phases[mu]
-
 
 def _contour_sum(res: _Resolvent, contour: Contour, block: np.ndarray, trans: str = "N") -> np.ndarray:
     """Quadrature of the resolvent integral applied to a block of vectors, or its adjoint with trans = 'H'."""
@@ -663,53 +640,52 @@ def _contour_sum(res: _Resolvent, contour: Contour, block: np.ndarray, trans: st
     return acc * (contour.radius / contour.nodes)
 
 
-def _parity(perm: np.ndarray) -> int:
-    """Parity of a permutation: its length minus its number of cycles, mod 2."""
-    if np.array_equal(perm, np.arange(len(perm))):  # natural order and diagonal pivots
-        return 0
-    perm = perm.tolist()
-    seen = [False] * len(perm)
-    cycles = 0
-    for start in range(len(perm)):
-        if not seen[start]:
-            cycles += 1
-            i = start
-            while not seen[i]:
-                seen[i] = True
-                i = perm[i]
-    return (len(perm) - cycles) % 2
+def _ritz_count(res: _Resolvent, contour: Contour) -> int:
+    """Number of eigenvalues of L inside the circle, by Rayleigh-Ritz on a contour-filtered probe block.
 
-
-def _count(res: _Resolvent, contour: Contour) -> int:
-    """Number of eigenvalues of L inside the circle, by the argument principle.
-
-    The phase of det(mu I - L) / det(mu I - D), D the diagonal of L, turns
-    slowly and winds (eigenvalues inside) - (diagonal entries inside) times.
-    Each node's phase is read once by ``_Resolvent.phase``, which releases
-    that node's factor, so count after every solve on the same nodes.  The
-    node count doubles, reusing the phases of the nested nodes, until every
-    phase step between neighbours is below pi/2; past MAX_NODES, or at a
-    NaN phase, the count raises.  Passing that rule, or agreeing across
-    doublings, certifies nothing: an eigenvalue that coincides with a
-    diagonal entry of L near the contour sweeps a net 2 pi over a short
-    arc, which the nodes fold into small steps, so the count can be wrong
-    without raising (78 against a dense 80 for the seed-1 benchmark flow at
-    N = 1 on the circle of radius 3.144984 about 0, from 8 nodes).
+    ``_contour_sum`` on the contour's own node factors filters a seeded
+    complex Gaussian block of 6 columns, a QR follows each pass, and the
+    Ritz pairs (theta, x) of Q^H L Q get their residuals ||L x - theta x||
+    on the stencil.  The filter scales an eigenvector at
+    z = (lambda - center) / radius by 1 / (1 - z^n), n the node count: by
+    more than 1/2 inside the circle, but also near a node outside it, so a
+    converged block with fewer Ritz values inside than columns can still
+    miss some.  The count stands once every Ritz pair the filter scales by
+    more than 1/2 has a residual below 1e-8 and the block holds a Ritz
+    value it scales by 1/2 or less.  Otherwise the block is filtered again while that worst residual
+    falls tenfold a pass, then doubled with fresh probes up to dim, where
+    the Ritz values are the eigenvalues.  A filtered block that is not
+    finite raises at once.
     """
-    d = res.matrix.diagonal()
-    nodes = contour.nodes
+    dim = res.matrix.shape[0]
+    rng = np.random.default_rng(17)
+    q = np.empty((dim, 0), dtype=np.complex128)
+    width = min(6, dim)
     while True:
-        mus, _ = Contour(contour.center, contour.radius, nodes).points()
-        phase = np.array([res.phase(mu) for mu in mus])
-        steps = np.angle(np.exp(1j * (np.roll(phase, -1) - phase)))
-        largest = np.max(np.abs(steps))
-        if largest < np.pi / 2:
-            break
-        if nodes >= MAX_NODES or math.isnan(largest):
-            raise SolverFailure(f"argument-principle phase steps up to {largest:.2f} rad with {nodes} nodes")
-        nodes *= 2
-    inside = int(np.sum(np.abs(d - contour.center) < contour.radius))
-    return int(round(np.sum(steps) / (2.0 * np.pi))) + inside
+        fresh = (dim, width - q.shape[1])
+        q = np.hstack((q, rng.standard_normal(fresh) + 1j * rng.standard_normal(fresh)))
+        worst = math.inf
+        while True:
+            filtered = _contour_sum(res, contour, q)
+            if not np.all(np.isfinite(filtered)):
+                raise SolverFailure(f"contour-filtered probe block of width {width} is not finite")
+            q = np.linalg.qr(filtered)[0]
+            lq = res.matrix @ q
+            theta, y = np.linalg.eig(q.conj().T @ lq)
+            z = (theta - contour.center) / contour.radius
+            count = int(np.sum(np.abs(z) < 1.0))
+            if width == dim:
+                return count
+            strong = np.abs(1.0 - z ** contour.nodes) < 2.0
+            # eig's vectors have unit norm, so the Ritz vectors Q y do too
+            y = y[:, strong]
+            residuals = np.linalg.norm(lq @ y - (q @ y) * theta[strong], axis=0)
+            previous, worst = worst, float(np.max(residuals, initial=0.0))
+            if worst <= 1e-8 and not np.all(strong):
+                return count
+            if not worst < 0.1 * previous:
+                break
+        width = min(2 * width, dim)
 
 
 class RieszProjector:
@@ -761,8 +737,8 @@ class ProjectorComparison:
     (a largest singular value by Lanczos on the node factorizations).
     ``smallness`` is the largest over the nodes that a Lanczos screen
     keeps; a skipped node holds a larger norm with probability below 3e-10
-    (see ``projector_distance_bound``).  The ranks are argument-principle
-    counts of the eigenvalues inside the contour.
+    (see ``projector_distance_bound``).  The ranks count the eigenvalues
+    inside the contour by Rayleigh-Ritz on the same node factors.
     """
 
     smallness: float
@@ -888,8 +864,7 @@ def projector_distance_bound(
     # an unperturbed operator has the identical projector; Lanczos cannot
     # start on the zero operator
     measured = _norm2(p_diff, lambda y: p_diff(y, "H"), dim) if delta.nnz else 0.0
-    # counting releases the node factors, so it comes after every solve on them
-    rank0, rank1 = _count(res0, contour), _count(res1, contour)
+    rank0, rank1 = _ritz_count(res0, contour), _ritz_count(res1, contour)
     return ProjectorComparison(smallness, sup_resolvent, bound, measured, rank0, rank1)
 
 

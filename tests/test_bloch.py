@@ -137,6 +137,14 @@ class TestBlochFamily:
                 fam.j_nodes, fam.weights, bad, conjugate_paired=True
             )
 
+    def test_pairing_refuses_a_nan_coefficient(self, rng):
+        c = df.random_complex_field(1, rng=rng).coeffs.copy()
+        c[0, 1, 2, 0] = np.nan
+        g = df.SpectralField(c)
+        nodes = np.array([[0.1, 0.0, 0.0], [-0.1, 0.0, 0.0]])
+        with pytest.raises(ConfigError, match="conjugate mirrors"):
+            bloch.BlochFamily(nodes, np.ones(2), [g, g.conjugate()], conjugate_paired=True)
+
     def test_pairing_requires_mirror_nodes(self, rng):
         g = df.random_complex_field(1, rng=rng)
         nodes = np.array([[0.1, 0.0, 0.0], [0.2, 0.0, 0.0]])

@@ -94,6 +94,20 @@ class TestTailModel:
         with pytest.raises(SolverFailure):
             glue.calibrate_tail_model(Quadratic(), 10.0, 100.0)
 
+    @pytest.mark.parametrize("total, error", [
+        (np.nan, SolverFailure), (np.inf, SolverFailure), (0.0, ConfigError),
+    ])
+    def test_non_finite_total_is_a_solver_failure(self, total, error):
+        class Stub:
+            def total_mass(self):
+                return total
+
+            def box_mass(self, radii):
+                return total * (1.0 - 1.0 / np.asarray(radii))
+
+        with pytest.raises(error):
+            glue.calibrate_tail_model(Stub(), 10.0, 100.0)
+
     def test_rejects_bad_range(self):
         band = bloch.ConstantBand(
             np.array([1.0, 0.0, 0.0]), np.array([0.5, 0.4, 0.3]), 0.1

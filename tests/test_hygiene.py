@@ -146,6 +146,44 @@ def test_no_nan_passing_guard(path):
     assert not found, f"a NaN passes these ConfigError guards (write them as `not x > 0.0`): {', '.join(found)}"
 
 
+def loose_xfails(tree: ast.Module) -> list[ast.Attribute]:
+    """Each ``pytest.mark.xfail`` not called with ``strict=True`` and a ``reason``.
+
+    A test that a fix makes pass reports XPASS under a non-strict mark, and
+    the run still passes, so the fix goes unseen.
+    """
+    calls = {id(node.func): node for node in ast.walk(tree) if isinstance(node, ast.Call)}
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and node.attr == "xfail" and ast.unparse(node.value) == "pytest.mark":
+            keywords = {k.arg: k.value for k in calls[id(node)].keywords} if id(node) in calls else {}
+            strict = keywords.get("strict")
+            if not (isinstance(strict, ast.Constant) and strict.value is True and "reason" in keywords):
+                found.append(node)
+    return sorted(found, key=lambda node: node.lineno)
+
+
+def test_loose_xfail_rule():
+    flagged = ["@pytest.mark.xfail\ndef test_a(): pass",
+               "@pytest.mark.xfail(reason='r')\ndef test_a(): pass",
+               "@pytest.mark.xfail(strict=True)\ndef test_a(): pass",
+               "pytest.param(1, marks=pytest.mark.xfail(strict=False, reason='r'))"]
+    kept = ["@pytest.mark.xfail(strict=True, reason='r')\ndef test_a(): pass",
+            "pytest.param(1, marks=pytest.mark.xfail(reason='r', strict=True))",
+            "pytest.xfail('r')"]
+    for src in flagged:
+        assert len(loose_xfails(ast.parse(src))) == 1, src
+    for src in kept:
+        assert not loose_xfails(ast.parse(src)), src
+
+
+@pytest.mark.parametrize("path", sorted((REPO / "tests").glob("*.py")), ids=lambda p: p.stem)
+def test_every_xfail_is_strict_with_a_reason(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    found = [f"{path.name}:{node.lineno}" for node in loose_xfails(tree)]
+    assert not found, f"xfail marks without strict=True and a reason: {', '.join(found)}"
+
+
 # Public names with no reader outside the tests, kept in src on purpose.
 REFERENCE_ORACLES = {
     "abc_closed_form": "the closed-form first-order ABC eigenvalues the alpha matrix is checked against",

@@ -46,6 +46,14 @@ WORKLOAD_ABC = (0.3007092974820154, 0.32702782177955614, 0.27864957676317803)
 WORKLOAD_J = np.array([-0.037485355963641796, 0.026042588041530132, 0.012839977657633369])
 
 
+# radii of circles about 0 for the seed-1 flow at N = 1 (j = WORKLOAD_J,
+# eps = 1) that pass within 1e-2 to 1e-4 of an eigenvalue equal to a
+# diagonal entry of L; the argument-principle count was off by 2 to 6 on
+# each, without raising
+RADII_NEAR_A_DIAGONAL_ENTRY = (0.928278, 0.976468, 1.037928, 1.077119, 1.875092, 2.029653, 2.849612, 2.954683,
+                               3.103524)
+
+
 def workload_flow():
     return df.make_abc(df.AbcParams(*WORKLOAD_ABC))
 
@@ -735,16 +743,6 @@ class TestRieszProjector:
         assert dm.Contour(0.0, 0.5, np.int64(16)).points()[0].size == 16
 
 
-def test_parity_matches_the_inversion_count():
-    # the parity of a permutation is that of its number of inversions
-    rng = np.random.default_rng(17)
-    perms = [np.arange(n) for n in (0, 1, 81)] + [rng.permutation(n) for n in (2, 3, 10, 81, 200) for _ in range(4)]
-    perms.append(np.array([1, 0, *range(2, 40)]))
-    for perm in perms:
-        inversions = sum(int(np.sum(perm[i + 1:] < perm[i])) for i in range(len(perm)))
-        assert dm._parity(perm) == inversions % 2
-
-
 class TestCount:
     @pytest.mark.parametrize("flow, j, contour, want", [
         (df.zero_field(1), (0.0, 0.0, 0.0), (0.0, 0.5), 3),
@@ -757,68 +755,65 @@ class TestCount:
         center, radius = contour
         lam = dense_eigenvalues(spec)
         assert np.sum(np.abs(lam - center) < radius) == want
-        assert dm._count(dm._Resolvent(spec), dm.Contour(center, radius, 8)) == want
+        assert dm._ritz_count(dm._Resolvent(spec), dm.Contour(center, radius, 8)) == want
 
-    def test_unresolved_phase_raises(self, monkeypatch):
-        # the (-1, 0.3) circle needs 16 nodes; capped at 8 the count refuses
+    @staticmethod
+    def record_widths(monkeypatch) -> list:
+        """The width of every block the count filters from here on."""
+        widths = []
+
+        def contour_sum(res, contour, block, trans="N", _orig=dm._contour_sum):
+            widths.append(block.shape[1])
+            return _orig(res, contour, block, trans)
+
+        monkeypatch.setattr(dm, "_contour_sum", contour_sum)
+        return widths
+
+    def test_widens_past_the_count(self, monkeypatch):
+        # 17 eigenvalues inside: blocks of 6 and 12 cannot hold them, 24 can
         spec = dm.ModalOperatorSpec(small_abc(0.3), np.array([0.0, 0.0, 0.045]), 1.0, 2)
-        res = dm._Resolvent(spec)
-        monkeypatch.setattr(dm, "MAX_NODES", 8)
-        with pytest.raises(SolverFailure):
-            dm._count(res, dm.Contour(-1.0, 0.3, 8))
-        monkeypatch.setattr(dm, "MAX_NODES", 16)
-        assert dm._count(res, dm.Contour(-1.0, 0.3, 8)) == 17
+        widths = self.record_widths(monkeypatch)
+        assert dm._ritz_count(dm._Resolvent(spec), dm.Contour(-1.0, 0.3, 8)) == 17
+        assert widths == sorted(widths)
+        assert set(widths) == {6, 12, 24}
 
-    def test_nan_phase_raises_at_once(self, monkeypatch):
-        reads = []
+    def test_non_finite_block_raises_at_once(self, monkeypatch):
+        widths = []
 
-        def phase(self, mu):
-            reads.append(mu)
-            return math.nan
+        def contour_sum(res, contour, block, trans="N"):
+            widths.append(block.shape[1])
+            return np.full_like(block, np.nan)
 
-        monkeypatch.setattr(dm._Resolvent, "phase", phase)
+        monkeypatch.setattr(dm, "_contour_sum", contour_sum)
         spec = dm.ModalOperatorSpec(small_abc(0.3), np.array([0.0, 0.0, 0.045]), 1.0, 1)
-        contour = dm.Contour(-1.0, 0.3, 8)
-        with pytest.raises(SolverFailure, match="nan"):
-            dm._count(dm._Resolvent(spec), contour)
-        assert len(reads) == contour.nodes
+        with pytest.raises(SolverFailure, match="not finite"):
+            dm._ritz_count(dm._Resolvent(spec), dm.Contour(-1.0, 0.3, 8))
+        assert widths == [6]
 
     def test_contour_next_to_an_eigenvalue_raises(self):
         spec = dm.ModalOperatorSpec(small_abc(0.3), np.array([0.0, 0.0, 0.045]), 1.0, 1)
         lam = dense_eigenvalues(spec)[0]
         with pytest.raises(ContourTouchesSpectrum):
-            dm._count(dm._Resolvent(spec), dm.Contour(lam - 0.1 + 1e-15, 0.1, 16))
+            dm._ritz_count(dm._Resolvent(spec), dm.Contour(lam - 0.1 + 1e-15, 0.1, 16))
 
-    def test_phase_read_once_and_factor_released(self, monkeypatch):
-        spec = dm.ModalOperatorSpec(small_abc(0.3), np.array([0.0, 0.0, 0.045]), 1.0, 2)
-        res = dm._Resolvent(spec)
-        factorizations = count_factorizations(monkeypatch)
-        # the (-1, 0.3) circle doubles from 8 to 16 nodes
-        assert dm._count(res, dm.Contour(-1.0, 0.3, 8)) == 17
-        # the resolvent was made before counting, with its structure's order
-        assert factorizations == {"lu_factor": 0, "splu": 16, "ordering": 0}
-        assert not res._lus
-        assert dm._count(res, dm.Contour(-1.0, 0.3, 8)) == 17
-        assert dm._count(res, dm.Contour(-1.0, 0.3, 16)) == 17
-        assert factorizations == {"lu_factor": 0, "splu": 16, "ordering": 0}
-
-    def test_phase_matches_the_dense_determinant(self):
-        spec = dm.ModalOperatorSpec(small_abc(0.3), np.array([0.0, 0.0, 0.045]), 1.0, 1)
-        a = dm.assemble_dense(spec)
-        d = np.diag(a)
-        res = dm._Resolvent(spec)
-        for mu in (0.5, 0.3 + 0.4j, -0.2j):
-            sign, _ = np.linalg.slogdet(mu * np.eye(spec.dim) - a)
-            want = np.angle(sign) - np.sum(np.angle(mu - d))
-            assert np.angle(np.exp(1j * (res.phase(mu) - want))) == pytest.approx(0.0, abs=1e-9)
-
-    @pytest.mark.xfail(strict=True, reason="an eigenvalue on a diagonal entry of L near the circle "
-                                           "folds its 2 pi phase sweep into small steps")
     @pytest.mark.parametrize("radius, dense", [(3.144984, 80), (3.006043, 74)])
-    def test_coincident_diagonal_entry_near_the_circle(self, radius, dense):
+    def test_coincident_diagonal_entry_near_the_circle(self, radius, dense, monkeypatch):
         spec = dm.ModalOperatorSpec(workload_flow(), WORKLOAD_J, 1.0, 1)
         assert np.sum(np.abs(dense_eigenvalues(spec)) < radius) == dense
-        assert dm._count(dm._Resolvent(spec), dm.Contour(0.0, radius, 8)) == dense
+        widths = self.record_widths(monkeypatch)
+        assert dm._ritz_count(dm._Resolvent(spec), dm.Contour(0.0, radius, 8)) == dense
+        # nearly every eigenvalue is inside: only the full width of 81 holds them
+        assert set(widths) == {6, 12, 24, 48, 81}
+        assert widths.count(81) == 1
+
+    @pytest.mark.parametrize("radius", RADII_NEAR_A_DIAGONAL_ENTRY)
+    def test_circles_near_an_eigenvalue_on_a_diagonal_entry(self, radius):
+        spec = dm.ModalOperatorSpec(workload_flow(), WORKLOAD_J, 1.0, 1)
+        lam = dense_eigenvalues(spec)
+        on_diagonal = lam[np.min(np.abs(lam[:, None] - dm._operator(spec).diagonal()), axis=1) < 1e-9]
+        assert 9e-5 <= np.min(np.abs(np.abs(on_diagonal) - radius)) <= 1.1e-2
+        dense = np.sum(np.abs(lam) < radius)
+        assert dm._ritz_count(dm._Resolvent(spec), dm.Contour(0.0, radius, 8)) == dense
 
 
 def test_production_paths_use_no_dense_eigensolver(monkeypatch, tmp_path):
@@ -839,10 +834,15 @@ def test_production_paths_use_no_dense_eigensolver(monkeypatch, tmp_path):
         a = np.asarray(a)
         return a.ndim == 3 and a.shape[1] == a.shape[2] < 81 and not np.any(np.tril(a, -2))
 
+    def ritz_matrix(a):
+        # the count's Q^H L Q: square and narrower than every operator used here
+        return np.ndim(a) == 2 and np.shape(a)[0] == np.shape(a)[1] < 81
+
     # the 3 x 3 alpha matrix is the one dense eigenproblem of an operator allowed
     refuse(scipy.linalg, "eig", allowed=lambda a: np.shape(a) == (3, 3))
     refuse(scipy.linalg, "eigvals")
-    refuse(np.linalg, "eig", allowed=lambda a: np.shape(a) == (3, 3) or hessenberg_stack(a))
+    # and the count's Ritz matrices, the 3 x 3 among them
+    refuse(np.linalg, "eig", allowed=lambda a: ritz_matrix(a) or hessenberg_stack(a))
     refuse(np.linalg, "eigvals")
     # no dense Hermitian solve of operator size (dim >= 81) either; the norm
     # screen's k x k tridiagonal, k = SCREEN_STEPS, is the one allowed
@@ -1054,7 +1054,7 @@ def test_every_modal_factorization_is_the_resolvents(monkeypatch):
 
 
 class TestProjectorMemory:
-    """A count releases each node's factor with the CSC copies of L and U that reading U builds."""
+    """Peak memory of a projector and of the Kato bound, node factors and blocks included; nothing reads U."""
 
     def test_riesz_projector_peak(self):
         spec = dm.ModalOperatorSpec(workload_flow(), np.zeros(3), 1.0, 2)
@@ -1201,24 +1201,35 @@ class TestNormScreen:
 
     def test_one_exact_weighted_norm_on_the_workload(self, monkeypatch):
         # seed 1 unscreened: 8 + 8 + 1 = 17 exact norms and 2984 node solves
-        counts = {"norm2": 0, "solve": 0}
-        norm2, solve = dm._norm2, dm._NodeFactor.solve
+        counts = {"norm2": 0, "solve": 0, "count solve": 0}
+        norm2, solve, ritz_count = dm._norm2, dm._NodeFactor.solve, dm._ritz_count
+        counting = []
 
         def counted_norm2(*args):
             counts["norm2"] += 1
             return norm2(*args)
 
         def counted_solve(self, *args, **kwargs):
-            counts["solve"] += 1
+            counts["count solve" if counting else "solve"] += 1
             return solve(self, *args, **kwargs)
+
+        def counted_ritz_count(*args):
+            counting.append(True)
+            try:
+                return ritz_count(*args)
+            finally:
+                counting.pop()
 
         monkeypatch.setattr(dm, "_norm2", counted_norm2)
         monkeypatch.setattr(dm._NodeFactor, "solve", counted_solve)
+        monkeypatch.setattr(dm, "_ritz_count", counted_ritz_count)
         s0, s1 = self.seed_specs(*WORKLOAD_SEEDS[0])
         dm.projector_distance_bound(s0, s1, dm.Contour(0.0, 0.5, 8))
         # 8 resolvent norms, the top node's weighted norm and the distance
         assert counts["norm2"] == 10
         assert counts["solve"] <= 1800
+        # the two counts: 4 passes of one block solve at each of the 8 nodes
+        assert counts["count solve"] == 2 * 4 * 8
 
     def test_nan_estimate_at_the_top_node_makes_the_bound_inapplicable(self, monkeypatch):
         s0, s1 = self.seed_specs(*WORKLOAD_SEEDS[0])
